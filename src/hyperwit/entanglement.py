@@ -174,6 +174,31 @@ def _exact_infinity_norm(gram: np.ndarray, dim: int) -> Fraction:
     return Fraction(int(np.abs(gram).sum(axis=1).max()), dim)
 
 
+_NORM_BLOCK_ROWS = 256
+
+
+def _prefix_infinity_norm(state: SignState, kept: int) -> Fraction:
+    """Exact infinity norm of the first `kept` qubits' reduced density
+    matrix, computed without building its Gram.
+
+    Equal rows of the sign matrix give equal Gram rows, so only the distinct
+    rows are multiplied (a permutation-invariant state has at most kept + 1),
+    and each Gram column is weighted by its row's multiplicity. Every entry
+    is an integer of magnitude at most 2**(n - kept) and every row sum at
+    most 2**n <= 2**24 < 2**53, so the float64 products and sums are exact.
+    """
+    s = state.signs().reshape(1 << kept, -1)
+    # np.unique sorts rows as byte strings; packing to bits makes them 8x shorter
+    packed, counts = np.unique(np.packbits(s < 0, axis=1), axis=0, return_counts=True)
+    rows = 1.0 - 2.0 * np.unpackbits(packed, axis=1, count=s.shape[1])
+    weights = counts.astype(np.float64)
+    best = 0.0
+    for start in range(0, len(rows), _NORM_BLOCK_ROWS):
+        block = np.abs(rows[start : start + _NORM_BLOCK_ROWS] @ rows.T) @ weights
+        best = max(best, float(block.max()))
+    return Fraction(int(best), state.dim)
+
+
 def _last_qubit_split(state: SignState) -> tuple[float, Fraction | None]:
     """alpha of the (1..n-1 | n) cut from the exact 2x2 Gram of side B.
 
@@ -211,8 +236,7 @@ def procedure_alpha(h: Hypergraph, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT) ->
     success = True
     alpha, alpha_exact = smax_sq, smax_exact
     for k in range(2, h.n // 2 + 1):
-        gram = _prefix_gram(state, h.n - k)
-        inf = _exact_infinity_norm(gram, state.dim)
+        inf = _prefix_infinity_norm(state, h.n - k)
         if smax_exact is not None:
             ok = inf <= smax_exact
         else:
@@ -221,6 +245,7 @@ def procedure_alpha(h: Hypergraph, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT) ->
         lam_ok: bool | None = None
         if not ok:
             success = False
+            gram = _prefix_gram(state, h.n - k)
             lam = float(np.linalg.eigvalsh(gram.astype(np.float64))[-1]) / state.dim
             lam_ok = lam <= smax_sq + SPECTRAL_TOL
             if lam > alpha:

@@ -11,7 +11,7 @@ import json
 from fractions import Fraction
 from typing import Any
 
-from .hypergraph import Bipartition, Hypergraph
+from .hypergraph import Hypergraph
 
 Number = Fraction | float
 
@@ -25,10 +25,6 @@ def exact_json(value: Number | int) -> dict[str, Any]:
 
 def hypergraph_json(h: Hypergraph) -> dict[str, Any]:
     return {"n": h.n, "edges": [list(e) for e in h.edges]}
-
-
-def bipartition_json(bp: Bipartition) -> dict[str, Any]:
-    return {"n": bp.n, "part_a": list(bp.part_a)}
 
 
 def dumps(obj: Any) -> str:

@@ -23,10 +23,6 @@ from .hypergraph import Edge, Hypergraph
 MAX_QUBITS = 24
 
 
-def hamming_weight(x: int) -> int:
-    return x.bit_count()
-
-
 def label_bit(n: int, vertex: int) -> int:
     """Position of the label bit owned by a vertex (qubit 1 is the MSB)."""
     if not 1 <= vertex <= n:
@@ -52,14 +48,18 @@ def _full_mask(n: int) -> int:
 
 @lru_cache(maxsize=None)
 def _bit_pattern(n: int, pos: int) -> int:
-    # Packed indicator of {x : label bit `pos` of x is set}. The pattern is
-    # periodic with period 2v, v = 2**pos, so it is a block times a geometric
-    # series, both exact integers.
-    v = 1 << pos
-    period = v << 1
-    block = ((1 << v) - 1) << v
-    reps = (1 << n) // period
-    return block * (((1 << (period * reps)) - 1) // ((1 << period) - 1))
+    # Packed indicator of {x : label bit `pos` of x is set}, assembled from its
+    # little-endian bytes in linear time (bit x sits in byte x // 8). From
+    # pos = 3 on, whole bytes alternate in runs of 2**(pos-3) clear and set;
+    # below that every byte holds the same sub-byte pattern.
+    nbytes = max(1, (1 << n) >> 3)
+    if pos >= 3:
+        run = 1 << (pos - 3)
+        raw = (b"\x00" * run + b"\xff" * run) * (nbytes // (2 * run))
+    else:
+        raw = (b"\xaa", b"\xcc", b"\xf0")[pos] * nbytes
+    pattern = int.from_bytes(raw, "little")
+    return pattern & _full_mask(n) if n < 3 else pattern
 
 
 @lru_cache(maxsize=4096)
@@ -157,11 +157,6 @@ def apply_x(state: SignState, vertex: int) -> SignState:
 def apply_z(state: SignState, vertex: int) -> SignState:
     """Flip the sign of every label with the vertex bit set."""
     return SignState(state.n, state.neg ^ _bit_pattern(state.n, label_bit(state.n, vertex)))
-
-
-def negated(state: SignState) -> SignState:
-    """The same state multiplied by -1 (all table entries flipped)."""
-    return SignState(state.n, state.neg ^ _full_mask(state.n))
 
 
 def apply_stabilizer(state: SignState, h: Hypergraph, vertex: int) -> SignState:

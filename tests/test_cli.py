@@ -208,6 +208,18 @@ def test_usage_errors_exit_2(capsys):
     assert code == 2
 
 
+def test_memory_error_exits_2(capsys, monkeypatch):
+    def exhausted(h):
+        raise MemoryError
+
+    monkeypatch.setattr("hyperwit.cli.build_state", exhausted)
+    code, out, err = run(capsys, "state", "dump", "--family", "single-max", "--n", "3")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: out of memory") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
 def test_cap_flags_enforced(capsys):
     code, _, err = run(
         capsys, "settings", "count", "--family", "single-max", "--n", "6",

@@ -1,4 +1,6 @@
 import math
+import random
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -11,6 +13,7 @@ from conftest import hypergraphs
 from hyperwit import (
     Bipartition,
     Family,
+    SignState,
     alpha_bipartite,
     alpha_multipartite,
     build_family,
@@ -26,6 +29,7 @@ from hyperwit import (
     reduced_structure_check,
     schmidt,
 )
+from hyperwit.entanglement import _exact_infinity_norm, _prefix_gram, _prefix_infinity_norm
 
 GOLDEN_RATIO_ALPHA = (3 + math.sqrt(5)) / 8
 
@@ -132,6 +136,47 @@ def test_procedure_single_max_edge():
 def test_procedure_rejects_asymmetric_input():
     with pytest.raises(ValueError):
         procedure_alpha(canonicalize([[1, 2], [2, 3]], 3))
+
+
+def test_prefix_infinity_norm_matches_gram_families():
+    for fam in Family:
+        for n in range(3, 13):
+            s = build_state(build_family(fam, n))
+            for kept in range(1, n):
+                assert _prefix_infinity_norm(s, kept) == _exact_infinity_norm(_prefix_gram(s, kept), s.dim), (fam, n, kept)
+
+
+@given(hypergraphs(min_n=2, max_n=8), st.data())
+def test_prefix_infinity_norm_matches_gram_random(h, data):
+    s = build_state(h)
+    kept = data.draw(st.integers(1, h.n - 1))
+    assert _prefix_infinity_norm(s, kept) == _exact_infinity_norm(_prefix_gram(s, kept), s.dim)
+
+
+def test_prefix_infinity_norm_spans_row_blocks():
+    # A random table over 9 | 4 qubits has more distinct rows than one
+    # multiplication block. Every fourth row is all-negative: that row has
+    # the largest sum and, packed as 0xffff, sorts into the last block.
+    neg = random.Random(11).getrandbits(1 << 13)
+    for r in range(0, 1 << 9, 4):
+        neg |= 0xFFFF << (16 * r)
+    s = SignState(13, neg)
+    assert len(np.unique(s.signs().reshape(1 << 9, -1), axis=0)) > 256
+    assert _prefix_infinity_norm(s, 9) == _exact_infinity_norm(_prefix_gram(s, 9), s.dim)
+
+
+def test_procedure_at_n16_stays_small():
+    # the full int64 Gram at k = 2 alone would take 2 GiB
+    for fam in Family:
+        tracemalloc.start()
+        try:
+            rep = procedure_alpha(build_family(fam, 16), sweep_limit=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.success
+        assert abs(rep.alpha - float(closed_form_alpha(fam, 16))) <= 1e-12
+        assert peak < 64 << 20, (fam, peak)
 
 
 def test_closed_form_values():

@@ -26,6 +26,7 @@ from hyperwit import (
     projector_identity_check,
 )
 from hyperwit.states import (
+    _bit_pattern,
     dense_stabilizer,
     label_bit,
     label_of_vertices,
@@ -49,6 +50,13 @@ def test_superset_mask_small():
     assert superset_mask(2, (1,)) == 0b1100
     assert superset_mask(2, (1, 2)) == 0b1000
     assert superset_mask(2, ()) == 0b1111
+
+
+def test_bit_pattern_matches_brute_force():
+    # covers the sub-byte tables (n < 3) and the sub-byte periods (pos < 3)
+    for n in range(1, 11):
+        for pos in range(n):
+            assert _bit_pattern(n, pos) == sum(1 << x for x in range(1 << n) if x >> pos & 1), (n, pos)
 
 
 def test_plus_state_has_no_signs():
