@@ -21,11 +21,34 @@ from hyperwit.cli import main
 GOLDEN = Path(__file__).with_name("golden_outputs.json")
 FAMILIES = ("single-max", "all-n-1", "all-ge-n-1")
 SEED = 20170
+SETTINGS_SEED = 20171
 
 
 def _random_edges(n: int, rng: random.Random) -> str:
     edges = [sorted(rng.sample(range(1, n + 1), rng.randint(1, n))) for _ in range(rng.randint(1, 2 * n))]
     return json.dumps(edges, separators=(",", ":"))
+
+
+def _small_edges(n: int, rng: random.Random) -> str:
+    """Distinct edges of cardinality <= 4, the first of cardinality >= 2."""
+    sizes = [rng.randint(2, min(4, n))] + [rng.randint(1, min(4, n)) for _ in range(rng.randint(0, 2 * n))]
+    edges = {tuple(sorted(rng.sample(range(1, n + 1), k))) for k in sizes}
+    return json.dumps(sorted(map(list, edges)), separators=(",", ":"))
+
+
+def _settings_runs() -> list[list[str]]:
+    rng = random.Random(SETTINGS_SEED)
+    instances = [(n, ["--edges", _small_edges(n, rng), "--n", str(n)]) for n in range(2, 8)]
+    instances += [(n, ["--family", family, "--n", str(n)]) for family in FAMILIES for n in range(2, 9)]
+    runs: list[list[str]] = []
+    for n, instance in instances:
+        for kind in ("projector", "stabilizer"):
+            for mode in ("canonical", "greedy"):
+                if kind == "projector" and mode == "greedy" and n > 6:
+                    continue
+                for action in ("count", "list"):
+                    runs.append(["settings", action, *instance, "--kind", kind, "--mode", mode])
+    return runs
 
 
 def invocations() -> list[list[str]]:
@@ -47,7 +70,7 @@ def invocations() -> list[list[str]]:
             runs.append(["entanglement", "--cross-check", "--family", family, "--n", str(n)])
     for n in range(2, 9):
         runs.append(["entanglement", "--cross-check", "--edges", _random_edges(n, rng), "--n", str(n)])
-    return runs
+    return runs + _settings_runs()
 
 
 def run(argv: list[str]) -> dict:
