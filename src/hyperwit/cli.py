@@ -7,7 +7,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +27,7 @@ from .hypergraph import (
 )
 from .locc import LoccReductionError, LoccValidationError, reduce as locc_reduce
 from .measurement import SettingMode, witness_settings
-from .serialize import dumps, exact_json, hypergraph_json
+from .serialize import Number, dumps, exact_json, hypergraph_json
 from .states import apply_stabilizer, basis_state, build_state, overlap, projector_identity_check
 from .witness import (
     NoisyState,
@@ -45,7 +44,6 @@ from .witness import (
 @dataclass(frozen=True)
 class RunConfig:
     seed: int
-    threads: int
     cap_sweep: int
     cap_dense: int
     cap_symbolic: int
@@ -58,7 +56,6 @@ def _common_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=2024)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--threads", type=int, default=0, help="worker cap (0 = environment HYPERWIT_THREADS, else 1)")
     p.add_argument("--cap-sweep", type=int, default=12, help="largest n for bipartition sweeps")
     p.add_argument("--cap-dense", type=int, default=8, help="largest n for dense matrix checks")
     p.add_argument("--cap-symbolic", type=int, default=10, help="largest n for symbolic decompositions")
@@ -113,8 +110,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _config(args: argparse.Namespace) -> RunConfig:
-    threads = args.threads or int(os.environ.get("HYPERWIT_THREADS", "0")) or 1
-    return RunConfig(args.seed, threads, args.cap_sweep, args.cap_dense, args.cap_symbolic, args.out, args.format)
+    return RunConfig(args.seed, args.cap_sweep, args.cap_dense, args.cap_symbolic, args.out, args.format)
 
 
 def _resolve_hypergraph(args: argparse.Namespace) -> Hypergraph:
@@ -130,7 +126,7 @@ def _resolve_hypergraph(args: argparse.Namespace) -> Hypergraph:
     raise ValueError("give either --family or --edges")
 
 
-def _parse_number(text: str) -> Fraction | float:
+def _parse_number(text: str) -> Number:
     try:
         return Fraction(text)
     except ValueError:
@@ -160,7 +156,7 @@ def _csv(rows: list[list[object]], header: list[str]) -> str:
     return buf.getvalue()
 
 
-def _exact_csv_cells(value: Fraction | float) -> list[object]:
+def _exact_csv_cells(value: Number) -> list[object]:
     if isinstance(value, Fraction):
         return [value.numerator, value.denominator, repr(float(value))]
     return ["", "", repr(value)]
@@ -296,7 +292,7 @@ def _cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
     return 0 if cert.validated else 1
 
 
-def _witness_alpha(args: argparse.Namespace, h: Hypergraph, cfg: RunConfig) -> Fraction | float:
+def _witness_alpha(args: argparse.Namespace, h: Hypergraph, cfg: RunConfig) -> Number:
     if args.alpha_mode == "generic":
         return default_alpha(h)
     if args.alpha_mode == "closed-form":

@@ -8,10 +8,22 @@ coefficient (-1)^(|U|/2) * W[m] / 2**n. Odd-|U| masks always transform to
 zero, which is hermiticity appearing on its own; it is asserted, not
 assumed.
 
+The engine works on letter codes (I=0, X=1, Y=2, Z=3, qubit 1 first). The
+n vertex diagonals are computed once per witness; each subset's surviving
+masks become a (strings, n) uint8 code array and signed weight numerators
+in numpy. For n <= DENSE_VALIDATE_LIMIT every block is summed back into a
+dense matrix, entry by entry from the single-qubit Paulis, and compared
+with the dense product. A code row packs to a base-4 integer key, whose
+order is the order of the letter strings. PauliString objects and letter
+strings are built only for the public API and for the final settings.
+
 A measurement setting assigns one of X, Y, Z per qubit; a string is
 measurable in a setting that matches all its non-identity letters. The
 canonical grouping completes identities to Z, which reproduces the counting
-arguments for the built-in families; a greedy cover can only do better.
+arguments for the built-in families. The greedy cover is a first-fit over
+(x_mask, z_mask, support) bitmasks in key order, qubit-wise-commuting
+grouping as in Verteletskyi, Yen & Izmaylov, J. Chem. Phys. 152, 124114
+(2020); it falls back to the canonical grouping when first-fit does worse.
 """
 
 from __future__ import annotations
@@ -25,11 +37,21 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .states import label_of_vertices, stabilizer_product_diagonal
+from .states import label_of_vertices, stabilizer_diagonal, stabilizer_product_diagonal
 from .witness import WitnessKind, WitnessSpec
 
 DENSE_VALIDATE_LIMIT = 6
 SYMBOLIC_LIMIT = 10
+
+_LETTERS = "IXYZ"
+_LETTER_BYTES = np.frombuffer(_LETTERS.encode(), dtype=np.uint8)
+_CODE_OF_BYTE = np.zeros(256, dtype=np.uint8)
+_CODE_OF_BYTE[_LETTER_BYTES] = np.arange(4)
+# Symplectic bits of each code (X-part x, Z-part z) and the code of (x, z) at 2x + z.
+_X_BIT = np.array([0, 1, 1, 0])
+_Z_BIT = np.array([0, 0, 1, 1])
+_CODE_OF_XZ = np.array([0, 3, 1, 2], dtype=np.uint8)
+_COMPLETED = np.array([3, 1, 2, 3], dtype=np.uint8)
 
 
 class SettingMode(Enum):
@@ -62,13 +84,13 @@ class PauliString:
 
 
 def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    out = values.astype(np.int64).copy()
+    out = values.astype(np.int64)
     h = 1
     while h < out.size:
-        out = out.reshape(-1, 2, h)
-        top = out[:, 0, :] + out[:, 1, :]
-        bot = out[:, 0, :] - out[:, 1, :]
-        out = np.stack((top, bot), axis=1).reshape(-1)
+        pairs = out.reshape(-1, 2, h)
+        top = pairs[:, 0, :] + pairs[:, 1, :]
+        pairs[:, 1, :] = pairs[:, 0, :] - pairs[:, 1, :]
+        pairs[:, 0, :] = top
         h *= 2
     return out
 
@@ -79,6 +101,8 @@ _DENSE_PAULI = {
     "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
+# Entry (row bit r, column bit c) of the Pauli with code k sits at 4k + 2r + c.
+_PAULI_ENTRIES = np.array([_DENSE_PAULI[c] for c in _LETTERS]).reshape(-1)
 
 
 def dense_pauli(letters: str) -> np.ndarray:
@@ -88,13 +112,147 @@ def dense_pauli(letters: str) -> np.ndarray:
     return m
 
 
-def _dense_product(h: Hypergraph, subset: tuple[int, ...]) -> np.ndarray:
-    dim = 1 << h.n
+def _shifts(n: int) -> np.ndarray:
+    """Label-bit position of each qubit, qubit 1 first."""
+    return np.arange(n - 1, -1, -1)
+
+
+def _bits(values: np.ndarray, n: int, width: int = 1) -> np.ndarray:
+    """(values, n) uint8 digits of the given bit width, qubit 1 first."""
+    # one column at a time: a (values, n) int64 temporary is 8x the result
+    out = np.empty((values.size, n), dtype=np.uint8)
+    for q, shift in enumerate(_shifts(n)):
+        out[:, q] = (values >> (width * shift)) & ((1 << width) - 1)
+    return out
+
+
+def _pauli_sum(codes: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
+    """Dense sum of coefficient * string over the rows of a code array.
+
+    Built by scatter: column x of a string has its one entry in row
+    x ^ (X-part), the product over qubits of the single-qubit entry at
+    (row bit, column bit).
+    """
+    n = codes.shape[1]
+    dim = 1 << n
+    cols = np.arange(dim)
+    col_bits = _bits(cols, n)
+    flips = _X_BIT[codes]
+    rows = cols ^ (flips @ (1 << _shifts(n)))[:, None]
+    entries = 4 * codes[:, None, :] + 2 * (col_bits ^ flips[:, None, :]) + col_bits
+    values = coefficients[:, None] * _PAULI_ENTRIES[entries].prod(axis=2)
+    flat = (rows * dim + cols).ravel()
+    real = np.bincount(flat, values.real.ravel(), dim * dim)
+    imag = np.bincount(flat, values.imag.ravel(), dim * dim)
+    return (real + 1j * imag).reshape(dim, dim)
+
+
+def _dense_product(n: int, tmask: int, diagonal: np.ndarray) -> np.ndarray:
+    dim = 1 << n
     xs = np.arange(dim)
-    tmask = label_of_vertices(h.n, subset)
     m = np.zeros((dim, dim), dtype=np.complex128)
-    m[xs ^ tmask, xs] = stabilizer_product_diagonal(h, subset)
+    m[xs ^ tmask, xs] = diagonal
     return m
+
+
+def _decompose(n: int, vs: tuple[int, ...], diagonal: np.ndarray, validate: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Letter codes and weight numerators (over 2**n) of one subset product.
+
+    Mask m's string has X-part T and Z-part m.
+    """
+    tmask = label_of_vertices(n, vs)
+    weights = _walsh_hadamard(diagonal)
+    y_counts = np.bitwise_count(np.arange(weights.size) & tmask).astype(np.int64)
+    if weights[(y_counts & 1) == 1].any():
+        raise ValueError("odd Y count with nonzero weight; hermiticity violated")
+    masks = np.flatnonzero(weights)
+    numerators = weights[masks] * (1 - (y_counts[masks] & 2))
+    codes = _CODE_OF_XZ[2 * ((tmask >> _shifts(n)) & 1) + _bits(masks, n)]
+    if validate:
+        rebuilt = _pauli_sum(codes, numerators / (1 << n))
+        if float(np.abs(rebuilt - _dense_product(n, tmask, diagonal)).max()) > 1e-12:
+            raise ValueError("Pauli expansion disagrees with the dense product")
+    return codes, numerators
+
+
+def _blocks(h: Hypergraph, subsets: Iterable[tuple[int, ...]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """Decompose each subset product, sharing the vertex diagonals."""
+    diagonals = np.stack([stabilizer_diagonal(h, v) for v in h.vertices()])
+    for vs in subsets:
+        yield _decompose(h.n, vs, stabilizer_product_diagonal(h, vs, diagonals), h.n <= DENSE_VALIDATE_LIMIT)
+
+
+def _all_subsets(n: int) -> Iterator[tuple[int, ...]]:
+    for size in range(1, n + 1):
+        yield from combinations(range(1, n + 1), size)
+
+
+def _letters(codes: np.ndarray) -> list[str]:
+    n = codes.shape[1]
+    text = _LETTER_BYTES[codes].tobytes().decode("ascii")
+    return [text[i : i + n] for i in range(0, len(text), n)]
+
+
+def _pauli_strings(codes: np.ndarray, numerators: np.ndarray) -> tuple[PauliString, ...]:
+    dim = 1 << codes.shape[1]
+    return tuple(
+        PauliString(letters, Fraction(w, dim)) for letters, w in zip(_letters(codes), numerators.tolist())
+    )
+
+
+def _string_codes(strings: Iterable[PauliString]) -> np.ndarray:
+    """Code array of public strings; identity strings are rejected."""
+    letters = [s.letters for s in strings]
+    if not letters:
+        return np.zeros((0, 1), dtype=np.uint8)
+    n = len(letters[0])
+    if any(len(p) != n for p in letters):
+        raise ValueError("strings act on different qubit counts")
+    codes = _CODE_OF_BYTE[np.frombuffer("".join(letters).encode(), dtype=np.uint8)].reshape(-1, n)
+    if not codes.any(axis=1).all():
+        raise ValueError("identity string carries no measurement setting")
+    return codes
+
+
+def _sorted_keys(blocks: Iterable[np.ndarray]) -> np.ndarray:
+    """Distinct base-4 keys of the rows of code blocks, sorted.
+
+    Key order is letter-string order. Each block is reduced to its keys as
+    it arrives, so memory holds one block and the distinct keys.
+    """
+    keys: set[int] = set()
+    for codes in blocks:
+        keys.update((codes.astype(np.int64) @ (1 << (2 * _shifts(codes.shape[1])))).tolist())
+    return np.array(sorted(keys), dtype=np.int64)
+
+
+def _settings(keys: np.ndarray, n: int) -> tuple[str, ...]:
+    """Letter strings of sorted keys."""
+    return tuple(_letters(_bits(keys, n, 2)))
+
+
+def _first_fit(keys: np.ndarray, n: int) -> tuple[str, ...]:
+    """First-fit of sorted pattern keys into settings, or the canonical
+    grouping when first-fit needs more settings.
+
+    A group is (x_mask, z_mask, support); a pattern joins the first group
+    that agrees with it on their common support.
+    """
+    codes = _bits(keys, n, 2)
+    place = 1 << _shifts(n)
+    groups: list[tuple[int, int, int]] = []
+    for x, z in zip((_X_BIT[codes] @ place).tolist(), (_Z_BIT[codes] @ place).tolist()):
+        s = x | z
+        for i, (gx, gz, gs) in enumerate(groups):
+            if not ((gx ^ x) | (gz ^ z)) & gs & s:
+                groups[i] = (gx | x, gz | z, gs | s)
+                break
+        else:
+            groups.append((x, z, s))
+    masks = np.array(groups, dtype=np.int64).reshape(-1, 3)
+    merged = _sorted_keys([_COMPLETED[_CODE_OF_XZ[2 * _bits(masks[:, 0], n) + _bits(masks[:, 1], n)]]])
+    canonical = _sorted_keys([_COMPLETED[codes]])
+    return _settings(merged if merged.size <= canonical.size else canonical, n)
 
 
 def decompose_stabilizer_product(
@@ -106,42 +264,13 @@ def decompose_stabilizer_product(
         raise ValueError("subset must be nonempty")
     if vs[0] < 1 or vs[-1] > h.n:
         raise ValueError(f"subset {vs} outside 1..{h.n}")
-    n, dim = h.n, 1 << h.n
-    tmask = label_of_vertices(n, vs)
-    weights = _walsh_hadamard(stabilizer_product_diagonal(h, vs))
-    strings: list[PauliString] = []
-    for m in range(dim):
-        w = int(weights[m])
-        u_count = (m & tmask).bit_count()
-        if u_count % 2 == 1:
-            if w != 0:
-                raise ValueError("odd Y count with nonzero weight; hermiticity violated")
-            continue
-        if w == 0:
-            continue
-        letters = []
-        for v in range(1, n + 1):
-            bit = (m >> (n - v)) & 1
-            if (tmask >> (n - v)) & 1:
-                letters.append("Y" if bit else "X")
-            else:
-                letters.append("Z" if bit else "I")
-        sign = -1 if (u_count // 2) % 2 else 1
-        strings.append(PauliString("".join(letters), Fraction(sign * w, dim)))
-    result = tuple(strings)
-    if validate or (validate is None and n <= DENSE_VALIDATE_LIMIT):
-        rebuilt = sum(float(s.coefficient) * dense_pauli(s.letters) for s in result)
-        if float(np.abs(rebuilt - _dense_product(h, vs)).max()) > 1e-12:
-            raise ValueError("Pauli expansion disagrees with the dense product")
-    return result
+    check = bool(validate or (validate is None and h.n <= DENSE_VALIDATE_LIMIT))
+    return _pauli_strings(*_decompose(h.n, vs, stabilizer_product_diagonal(h, vs), check))
 
 
 def stabilizer_strings(h: Hypergraph) -> tuple[PauliString, ...]:
     """Strings of all n single stabilizers, concatenated in vertex order."""
-    out: list[PauliString] = []
-    for i in range(1, h.n + 1):
-        out.extend(decompose_stabilizer_product(h, (i,)))
-    return tuple(out)
+    return tuple(s for block in _blocks(h, ((v,) for v in h.vertices())) for s in _pauli_strings(*block))
 
 
 def projector_strings(h: Hypergraph) -> Iterator[tuple[PauliString, ...]]:
@@ -151,19 +280,14 @@ def projector_strings(h: Hypergraph) -> Iterator[tuple[PauliString, ...]]:
     onto the state; the identity term carries no measurement cost and is
     not emitted.
     """
-    for size in range(1, h.n + 1):
-        for subset in combinations(range(1, h.n + 1), size):
-            yield decompose_stabilizer_product(h, subset)
+    for block in _blocks(h, _all_subsets(h.n)):
+        yield _pauli_strings(*block)
 
 
 def canonical_settings(strings: Iterable[PauliString]) -> tuple[str, ...]:
     """Distinct identity-to-Z completions, sorted."""
-    out = set()
-    for s in strings:
-        if set(s.letters) == {"I"}:
-            raise ValueError("identity string carries no measurement setting")
-        out.add(s.setting())
-    return tuple(sorted(out))
+    codes = _string_codes(strings)
+    return _settings(_sorted_keys([_COMPLETED[codes]]), codes.shape[1])
 
 
 def greedy_min_settings(strings: Iterable[PauliString]) -> tuple[str, ...]:
@@ -173,26 +297,8 @@ def greedy_min_settings(strings: Iterable[PauliString]) -> tuple[str, ...]:
     Falls back to the canonical grouping in the rare case first-fit
     fragments worse than it.
     """
-    patterns = sorted({s.letters for s in strings})
-    if not patterns:
-        return ()
-    groups: list[list[str | None]] = []
-    for p in patterns:
-        if set(p) == {"I"}:
-            raise ValueError("identity string carries no measurement setting")
-        for g in groups:
-            if all(c == "I" or g[i] is None or g[i] == c for i, c in enumerate(p)):
-                for i, c in enumerate(p):
-                    if c != "I":
-                        g[i] = c
-                break
-        else:
-            groups.append([c if c != "I" else None for c in p])
-    merged = tuple(sorted({"".join(c or "Z" for c in g) for g in groups}))
-    canonical = canonical_settings(
-        PauliString(p, Fraction(1)) for p in patterns
-    )
-    return merged if len(merged) <= len(canonical) else canonical
+    codes = _string_codes(strings)
+    return _first_fit(_sorted_keys([codes]), codes.shape[1])
 
 
 def exact_min_settings(strings: Iterable[PauliString], *, vertex_limit: int = 4) -> tuple[str, ...]:
@@ -239,16 +345,12 @@ def witness_settings(
     if spec.kind is WitnessKind.PROJECTOR:
         if h.n > symbolic_limit:
             raise ValueError(f"projector decomposition capped at n <= {symbolic_limit}, got n={h.n}")
-        if mode is SettingMode.CANONICAL:
-            out: set[str] = set()
-            for batch in projector_strings(h):
-                out.update(s.setting() for s in batch)
-            return tuple(sorted(out))
-        collected = [s for batch in projector_strings(h) for s in batch]
-        return greedy_min_settings(collected)
+        subsets: Iterable[tuple[int, ...]] = _all_subsets(h.n)
+    else:
+        subsets = ((v,) for v in h.vertices())
     if mode is SettingMode.CANONICAL:
-        return canonical_settings(stabilizer_strings(h))
-    return greedy_min_settings(stabilizer_strings(h))
+        return _settings(_sorted_keys(_COMPLETED[codes] for codes, _ in _blocks(h, subsets)), h.n)
+    return _first_fit(_sorted_keys(codes for codes, _ in _blocks(h, subsets)), h.n)
 
 
 def witness_setting_count(

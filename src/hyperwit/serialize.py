@@ -13,7 +13,7 @@ from typing import Any
 
 from .hypergraph import Hypergraph
 
-Number = Fraction | float
+Number = Fraction | float  # exact where the inputs are, float otherwise
 
 
 def exact_json(value: Number | int) -> dict[str, Any]:

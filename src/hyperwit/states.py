@@ -273,12 +273,15 @@ def stabilizer_diagonal(h: Hypergraph, vertex: int) -> np.ndarray:
     return d
 
 
-def stabilizer_product_diagonal(h: Hypergraph, subset: Iterable[int]) -> np.ndarray:
+def stabilizer_product_diagonal(
+    h: Hypergraph, subset: Iterable[int], diagonals: np.ndarray | None = None
+) -> np.ndarray:
     """Diagonal factor of the ordered product of the subset's stabilizers.
 
     The product equals (X on every subset vertex) times this diagonal; the
     X parts commute past each diagonal by permuting its argument, which is
-    what the running suffix mask accounts for.
+    what the running suffix mask accounts for. A caller taking many products
+    passes the vertex diagonals once, row v-1 for vertex v.
     """
     vs = sorted(set(subset))
     if not vs:
@@ -288,7 +291,8 @@ def stabilizer_product_diagonal(h: Hypergraph, subset: Iterable[int]) -> np.ndar
     d = np.ones(dim, dtype=np.int64)
     suffix = 0
     for v in reversed(vs):
-        d = d * stabilizer_diagonal(h, v)[xs ^ suffix]
+        vertex_diagonal = stabilizer_diagonal(h, v) if diagonals is None else diagonals[v - 1]
+        d = d * vertex_diagonal[xs ^ suffix]
         suffix |= 1 << label_bit(h.n, v)
     return d
 

@@ -20,9 +20,9 @@ import numpy as np
 
 from .entanglement import alpha_multipartite, closed_form_alpha
 from .hypergraph import Bipartition, Family, Hypergraph, enumerate_bipartitions, max_cardinality
+from .serialize import Number
 from .states import SignState, apply_stabilizer, build_state, dense_stabilizer, overlap
 
-Number = Fraction | float
 FLOAT_SLACK = 1e-12
 
 

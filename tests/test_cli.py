@@ -232,12 +232,3 @@ def test_unknown_family_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["state", "build", "--family", "mystery", "--n", "3"])
     assert exc.value.code == 2
-
-
-def test_threads_env_fallback(capsys, monkeypatch):
-    monkeypatch.setenv("HYPERWIT_THREADS", "3")
-    code, _, _ = run(capsys, "state", "build", "--family", "single-max", "--n", "2")
-    assert code == 0
-    monkeypatch.setenv("HYPERWIT_THREADS", "not-an-int")
-    code, _, err = run(capsys, "state", "build", "--family", "single-max", "--n", "2")
-    assert code == 2 and "error:" in err

@@ -1,5 +1,5 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -27,6 +27,8 @@ from hyperwit import (
     witness_setting_count,
     witness_settings,
 )
+from hyperwit import measurement
+from hyperwit.measurement import _CODE_OF_BYTE, _pauli_sum, dense_pauli
 from hyperwit.states import dense_stabilizer
 
 
@@ -102,7 +104,7 @@ def test_greedy_can_merge_below_canonical():
     assert greedy_min_settings(strs) == ("XZ",)
 
 
-@given(nonempty_hypergraphs(min_n=2, max_n=4, min_edge=2))
+@given(nonempty_hypergraphs(min_n=2, max_n=6, min_edge=2))
 @settings(max_examples=40)
 def test_greedy_never_exceeds_canonical(h):
     spec = projector_witness(h)
@@ -161,3 +163,85 @@ def test_symbolic_cap_enforced():
     spec = projector_witness(h)
     with pytest.raises(ValueError):
         witness_settings(spec, SettingMode.CANONICAL, symbolic_limit=4)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_scatter_builder_matches_kron_for_every_string(n):
+    for letters in map("".join, product("IXYZ", repeat=n)):
+        codes = _CODE_OF_BYTE[np.frombuffer(letters.encode(), dtype=np.uint8)].reshape(1, n)
+        built = _pauli_sum(codes, np.ones(1))
+        assert np.array_equal(built, dense_pauli(letters)), letters
+        assert np.array_equal(built, oracles.pauli_matrix(letters)), letters
+
+
+def test_scatter_builder_sums_with_coefficients():
+    letters = ("XZY", "IIZ", "YYI")
+    coefficients = np.array([0.5, -0.25, 2.0])
+    codes = _CODE_OF_BYTE[np.frombuffer("".join(letters).encode(), dtype=np.uint8)].reshape(3, 3)
+    want = sum(c * oracles.pauli_matrix(p) for c, p in zip(coefficients, letters))
+    assert np.allclose(_pauli_sum(codes, coefficients), want, atol=1e-15)
+
+
+def _negate_one_weight(walsh_hadamard):
+    def corrupted(values):
+        out = walsh_hadamard(values)
+        nonzero = np.flatnonzero(out)
+        out[nonzero[len(nonzero) // 2]] *= -1
+        return out
+
+    return corrupted
+
+
+def test_dense_check_catches_a_negated_weight(monkeypatch):
+    h = build_family(Family.ALL_N_MINUS_1, 5)
+    monkeypatch.setattr(measurement, "_walsh_hadamard", _negate_one_weight(measurement._walsh_hadamard))
+    with pytest.raises(ValueError, match="dense product"):
+        decompose_stabilizer_product(h, (1, 3, 4))
+    for spec in (projector_witness(h), stabilizer_witness(h)):
+        for mode in SettingMode:
+            with pytest.raises(ValueError, match="dense product"):
+                witness_settings(spec, mode)
+
+
+def test_odd_y_rule_is_asserted(monkeypatch):
+    h = build_family(Family.SINGLE_MAX_EDGE, 3)
+    original = measurement._walsh_hadamard
+
+    def odd_weight(values):
+        out = original(values)
+        out[0b100] = 8  # the mask with Y on vertex 1 alone, for T = {1}
+        return out
+
+    monkeypatch.setattr(measurement, "_walsh_hadamard", odd_weight)
+    with pytest.raises(ValueError, match="odd Y count"):
+        decompose_stabilizer_product(h, (1,))
+
+
+def test_greedy_matches_letter_first_fit():
+    # reference: first-fit over letter strings, one character at a time
+    def letter_first_fit(patterns):
+        groups = []
+        for p in patterns:
+            for g in groups:
+                if all(c == "I" or g[i] is None or g[i] == c for i, c in enumerate(p)):
+                    for i, c in enumerate(p):
+                        if c != "I":
+                            g[i] = c
+                    break
+            else:
+                groups.append([c if c != "I" else None for c in p])
+        merged = sorted({"".join(c or "Z" for c in g) for g in groups})
+        canonical = sorted({p.replace("I", "Z") for p in patterns})
+        return tuple(merged if len(merged) <= len(canonical) else canonical)
+
+    for h in (build_family(Family.ALL_N_MINUS_1, 5), canonicalize([[1, 2, 3], [3, 4], [2, 4, 5], [1, 5]], 5)):
+        for spec in (projector_witness(h), stabilizer_witness(h)):
+            patterns = sorted({s.letters for s in _witness_strings(spec)})
+            assert witness_settings(spec, SettingMode.GREEDY) == letter_first_fit(patterns)
+            assert witness_settings(spec, SettingMode.CANONICAL) == canonical_settings(_witness_strings(spec))
+
+
+def _witness_strings(spec):
+    if spec.kind.value == "projector":
+        return [s for block in projector_strings(spec.hypergraph) for s in block]
+    return list(stabilizer_strings(spec.hypergraph))
