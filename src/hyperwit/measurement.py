@@ -131,7 +131,7 @@ def _pauli_sum(codes: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
 
     Built by scatter: column x of a string has its one entry in row
     x ^ (X-part), the product over qubits of the single-qubit entry at
-    (row bit, column bit).
+    (row bit, column bit). Work arrays stay (strings, 2**n).
     """
     n = codes.shape[1]
     dim = 1 << n
@@ -139,8 +139,10 @@ def _pauli_sum(codes: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
     col_bits = _bits(cols, n)
     flips = _X_BIT[codes]
     rows = cols ^ (flips @ (1 << _shifts(n)))[:, None]
-    entries = 4 * codes[:, None, :] + 2 * (col_bits ^ flips[:, None, :]) + col_bits
-    values = coefficients[:, None] * _PAULI_ENTRIES[entries].prod(axis=2)
+    values = np.repeat(coefficients.astype(np.complex128)[:, None], dim, axis=1)
+    for q in range(n):
+        row_bits = col_bits[:, q] ^ flips[:, q, None]
+        values *= _PAULI_ENTRIES[4 * codes[:, q, None] + 2 * row_bits + col_bits[:, q]]
     flat = (rows * dim + cols).ravel()
     real = np.bincount(flat, values.real.ravel(), dim * dim)
     imag = np.bincount(flat, values.imag.ravel(), dim * dim)
