@@ -12,6 +12,7 @@ from hyperwit import (
     Family,
     PauliString,
     SettingMode,
+    WitnessKind,
     build_family,
     canonical_settings,
     canonicalize,
@@ -242,6 +243,6 @@ def test_greedy_matches_letter_first_fit():
 
 
 def _witness_strings(spec):
-    if spec.kind.value == "projector":
+    if spec.kind is WitnessKind.PROJECTOR:
         return [s for block in projector_strings(spec.hypergraph) for s in block]
     return list(stabilizer_strings(spec.hypergraph))
