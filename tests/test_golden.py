@@ -22,6 +22,7 @@ GOLDEN = Path(__file__).with_name("golden_outputs.json")
 FAMILIES = ("single-max", "all-n-1", "all-ge-n-1")
 SEED = 20170
 SETTINGS_SEED = 20171
+SWEEP_SEED = 20172
 
 
 def _random_edges(n: int, rng: random.Random) -> str:
@@ -34,6 +35,65 @@ def _small_edges(n: int, rng: random.Random) -> str:
     sizes = [rng.randint(2, min(4, n))] + [rng.randint(1, min(4, n)) for _ in range(rng.randint(0, 2 * n))]
     edges = {tuple(sorted(rng.sample(range(1, n + 1), k))) for k in sizes}
     return json.dumps(sorted(map(list, edges)), separators=(",", ":"))
+
+
+def _connected_edges(n: int, rng: random.Random, max_card: int) -> list[list[int]]:
+    """Edges of cardinality 2..max_card, XOR-combined, redrawn until they
+    connect all n vertices."""
+    while True:
+        parity: dict[tuple[int, ...], int] = {}
+        for _ in range(rng.randint(n - 1, 2 * n)):
+            e = tuple(sorted(rng.sample(range(1, n + 1), rng.randint(2, min(n, max_card)))))
+            parity[e] = parity.get(e, 0) ^ 1
+        edges = sorted(e for e, odd in parity.items() if odd)
+        reached, frontier = {1}, [1]
+        while frontier:
+            v = frontier.pop()
+            for e in edges:
+                if v in e:
+                    frontier += [u for u in e if u not in reached]
+                    reached.update(e)
+        if len(reached) == n:
+            return [list(e) for e in edges]
+
+
+def _crossing_cut(n: int, edges: list[list[int]], rng: random.Random) -> str:
+    """A proper side A that at least one edge crosses."""
+    while True:
+        part = {v for v in range(1, n + 1) if rng.random() < 0.5}
+        if 0 < len(part) < n and any(part & set(e) and set(e) - part for e in edges):
+            return ",".join(map(str, sorted(part)))
+
+
+def _sweep_runs() -> list[list[str]]:
+    """Every-cut sweeps and their callers: brute entanglement, brute-alpha
+    witnesses, lower-bound campaigns and reduction certificates."""
+    rng = random.Random(SWEEP_SEED)
+
+    def instance(n: int, max_card: int) -> tuple[list[str], list[list[int]]]:
+        edges = _connected_edges(n, rng, max_card)
+        return ["--edges", json.dumps(edges, separators=(",", ":")), "--n", str(n)], edges
+
+    runs: list[list[str]] = []
+    for n in range(9, 13):
+        for _ in range(2):
+            args, _ = instance(n, n)
+            runs.append(["entanglement", "--mode", "brute", *args])
+            runs.append(["entanglement", "--mode", "brute", *args, "--format", "csv"])
+    for family in FAMILIES:
+        runs.append(["entanglement", "--mode", "brute", "--family", family, "--n", "12"])
+        runs.append(["entanglement", "--mode", "brute", "--family", family, "--n", "12", "--format", "csv"])
+    for n in range(2, 9):
+        args, _ = instance(n, n)
+        for kind in ("projector", "stabilizer"):
+            runs.append(["witness", "build", *args, "--kind", kind, "--alpha-mode", "brute"])
+    for seed in (1, 2, 3):
+        runs.append(["campaign", "lower-bound", "--count", "4", "--max-n", "7", "--seed", str(seed)])
+    for n in range(4, 10):
+        for _ in range(2):
+            args, edges = instance(n, 4)
+            runs.append(["reduce", *args, "--partA", _crossing_cut(n, edges, rng)])
+    return runs
 
 
 def _settings_runs() -> list[list[str]]:
@@ -70,7 +130,7 @@ def invocations() -> list[list[str]]:
             runs.append(["entanglement", "--cross-check", "--family", family, "--n", str(n)])
     for n in range(2, 9):
         runs.append(["entanglement", "--cross-check", "--edges", _random_edges(n, rng), "--n", str(n)])
-    return runs + _settings_runs()
+    return runs + _settings_runs() + _sweep_runs()
 
 
 def run(argv: list[str]) -> dict:
