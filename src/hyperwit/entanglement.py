@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from typing import Sequence
 
 import numpy as np
@@ -104,13 +105,92 @@ class StructureReport:
     infinity_norm: Fraction
 
 
+@lru_cache(maxsize=None)
+def _label_bits(n: int) -> np.ndarray:
+    """Bits of 0..2**n-1 as an (n, 2**n) float32 array, most significant first."""
+    return ((np.arange(1 << n) >> np.arange(n - 1, -1, -1)[:, None]) & 1).astype(np.float32)
+
+
+def _cut_order(n: int, side: Sequence[int]) -> tuple[int, ...]:
+    """The side's vertices, then the rest, each in increasing order."""
+    inside = set(side)
+    return tuple(side) + tuple(v for v in range(1, n + 1) if v not in inside)
+
+
+def _cut_labels(n: int, orders: np.ndarray) -> np.ndarray:
+    """Basis labels of each row of a (cuts, n) array of vertex orders.
+
+    Entry j of a row is the label whose bits, read in that vertex order,
+    spell j; so the row reshaped to (2**k, 2**(n-k)) indexes the cut matrix
+    of the first k vertices. The first n // 2 vertices and the rest are
+    labelled apart and combined, so no bit table has more than 2**(n - n//2)
+    columns. Labels are sums of distinct powers of two below 2**24, so the
+    float32 products and sums are exact.
+    """
+    weights = np.ldexp(np.float32(1), n - orders)
+    h = n // 2
+    high = weights[:, :h] @ _label_bits(h)
+    low = weights[:, h:] @ _label_bits(n - h)
+    return (high[:, :, None] + low[:, None, :]).reshape(len(orders), -1).astype(np.intp)
+
+
 def _cut_matrix(state: SignState, part_a: Sequence[int]) -> np.ndarray:
     """Sign table reshaped so rows index part A labels and columns the rest."""
-    n = state.n
-    inside = set(part_a)
-    order = list(part_a) + [v for v in range(1, n + 1) if v not in inside]
-    m = state.signs().astype(np.float64).reshape((2,) * n)
-    return m.transpose([v - 1 for v in order]).reshape(1 << len(part_a), -1)
+    labels = _cut_labels(state.n, np.array([_cut_order(state.n, part_a)]))
+    return state.signs().astype(np.float64)[labels].reshape(1 << len(part_a), -1)
+
+
+# Cut matrices are gathered in batches of at most this many sign entries
+# (one cut when a single cut is larger).
+_BATCH_ENTRIES = 1 << 14
+
+
+def _cut_alphas(signs: np.ndarray, n: int, k: int, orders: np.ndarray) -> np.ndarray:
+    """alpha of each cut in `orders`, whose first k vertices are the side
+    the Gram is taken over.
+
+    Each batch gathers its cut matrices with one index, forms their Grams
+    with one stacked matmul and takes the top eigenvalues with one stacked
+    eigvalsh. Gram entries are integers of magnitude at most 2**n <= 2**24,
+    so the float32 products and sums are exact and each Gram equals the
+    float64 one of the same cut matrix.
+    """
+    step = max(1, _BATCH_ENTRIES >> n)
+    out = np.empty(len(orders))
+    for start in range(0, len(orders), step):
+        batch = orders[start : start + step]
+        m = signs[_cut_labels(n, batch)].reshape(len(batch), 1 << k, 1 << (n - k))
+        gram = np.matmul(m, m.transpose(0, 2, 1)).astype(np.float64)
+        out[start : start + step] = np.linalg.eigvalsh(gram)[:, -1]
+    return out / (1 << n)
+
+
+def _smaller_side(bp: Bipartition) -> tuple[int, ...]:
+    """The side whose Gram is taken: part_a when the sides are equal."""
+    return bp.part_a if len(bp.part_a) <= bp.n // 2 else bp.part_b
+
+
+@dataclass(frozen=True, eq=False)
+class _SweepPlan:
+    """The canonical bipartitions of n, the order that sorts them by part_a,
+    and per smaller-side size k their positions and cut orders."""
+
+    bipartitions: tuple[Bipartition, ...]
+    lex_order: np.ndarray
+    groups: tuple[tuple[int, np.ndarray, np.ndarray], ...]
+
+
+@lru_cache(maxsize=None)
+def _sweep_plan(n: int) -> _SweepPlan:
+    bps = tuple(enumerate_bipartitions(n))
+    sides = [_smaller_side(bp) for bp in bps]
+    groups = []
+    for k in range(1, n // 2 + 1):
+        positions = [i for i, side in enumerate(sides) if len(side) == k]
+        orders = np.array([_cut_order(n, sides[i]) for i in positions], dtype=np.int8)
+        groups.append((k, np.array(positions), orders))
+    lex_order = np.array(sorted(range(len(bps)), key=lambda i: bps[i].part_a))
+    return _SweepPlan(bps, lex_order, tuple(groups))
 
 
 def schmidt(state: SignState, bp: Bipartition) -> SchmidtSpectrum:
@@ -135,25 +215,34 @@ def alpha_bipartite(state: SignState, bp: Bipartition) -> float:
     """Largest squared Schmidt coefficient, via the smaller side's Gram."""
     if bp.n != state.n:
         raise ValueError("bipartition and state disagree on qubit count")
-    part = bp.part_a if len(bp.part_a) <= state.n // 2 else bp.part_b
-    m = _cut_matrix(state, part)
-    g = m @ m.T
-    return float(np.linalg.eigvalsh(g)[-1]) / state.dim
+    side = _smaller_side(bp)
+    orders = np.array([_cut_order(state.n, side)])
+    return float(_cut_alphas(state.signs().astype(np.float32), state.n, len(side), orders)[0])
 
 
 def alpha_multipartite(state: SignState, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT) -> EntanglementReport:
-    """Exhaustive sweep over all canonical bipartitions; E = 1 - alpha."""
-    if state.n < 2:
+    """Exhaustive sweep over all canonical bipartitions; E = 1 - alpha.
+
+    Cuts are evaluated in batches per smaller-side size. Every cut of one
+    size has the same cut matrix when the state is permutation-invariant,
+    so then one cut per size is evaluated and its value shared. Ties go to
+    the first bipartition by part_a.
+    """
+    n = state.n
+    if n < 2:
         raise ValueError("need at least 2 qubits to bipartition")
-    if state.n > sweep_limit:
-        raise ValueError(f"qubit count {state.n} exceeds the sweep cap {sweep_limit}")
-    rows = tuple((bp, alpha_bipartite(state, bp)) for bp in enumerate_bipartitions(state.n))
-    best_bp, best = None, -1.0
-    for bp, a in sorted(rows, key=lambda r: r[0].part_a):
-        if a > best:
-            best_bp, best = bp, a
-    assert best_bp is not None
-    return EntanglementReport(rows, best, 1.0 - best, best_bp)
+    if n > sweep_limit:
+        raise ValueError(f"qubit count {n} exceeds the sweep cap {sweep_limit}")
+    plan = _sweep_plan(n)
+    signs = state.signs().astype(np.float32)
+    shared = is_permutation_invariant(state)
+    alphas = np.empty(len(plan.bipartitions))
+    for k, positions, orders in plan.groups:
+        alphas[positions] = _cut_alphas(signs, n, k, orders[:1] if shared else orders)
+    best = int(plan.lex_order[np.argmax(alphas[plan.lex_order])])
+    values = alphas.tolist()
+    rows = tuple(zip(plan.bipartitions, values))
+    return EntanglementReport(rows, values[best], 1.0 - values[best], plan.bipartitions[best])
 
 
 def infinity_norm(m: np.ndarray) -> float:
@@ -164,9 +253,10 @@ def infinity_norm(m: np.ndarray) -> float:
     return float(np.abs(a).sum(axis=1).max())
 
 
-def _prefix_gram(state: SignState, kept: int) -> np.ndarray:
-    """Exact integer Gram of the first `kept` qubits: 2**n times the rdm."""
-    s = state.signs().astype(np.int64).reshape(1 << kept, -1)
+def _prefix_gram(signs: np.ndarray, kept: int) -> np.ndarray:
+    """Exact integer Gram of the first `kept` qubits of a sign table: 2**n
+    times the rdm."""
+    s = signs.astype(np.int64).reshape(1 << kept, -1)
     return s @ s.T
 
 
@@ -177,9 +267,9 @@ def _exact_infinity_norm(gram: np.ndarray, dim: int) -> Fraction:
 _NORM_BLOCK_ROWS = 256
 
 
-def _prefix_infinity_norm(state: SignState, kept: int) -> Fraction:
+def _prefix_infinity_norm(signs: np.ndarray, kept: int) -> Fraction:
     """Exact infinity norm of the first `kept` qubits' reduced density
-    matrix, computed without building its Gram.
+    matrix of a sign table, computed without building its Gram.
 
     Equal rows of the sign matrix give equal Gram rows, so only the distinct
     rows are multiplied (a permutation-invariant state has at most kept + 1),
@@ -187,7 +277,7 @@ def _prefix_infinity_norm(state: SignState, kept: int) -> Fraction:
     is an integer of magnitude at most 2**(n - kept) and every row sum at
     most 2**n <= 2**24 < 2**53, so the float64 products and sums are exact.
     """
-    s = state.signs().reshape(1 << kept, -1)
+    s = signs.reshape(1 << kept, -1)
     # np.unique sorts rows as byte strings; packing to bits makes them 8x shorter
     packed, counts = np.unique(np.packbits(s < 0, axis=1), axis=0, return_counts=True)
     rows = 1.0 - 2.0 * np.unpackbits(packed, axis=1, count=s.shape[1])
@@ -196,23 +286,24 @@ def _prefix_infinity_norm(state: SignState, kept: int) -> Fraction:
     for start in range(0, len(rows), _NORM_BLOCK_ROWS):
         block = np.abs(rows[start : start + _NORM_BLOCK_ROWS] @ rows.T) @ weights
         best = max(best, float(block.max()))
-    return Fraction(int(best), state.dim)
+    return Fraction(int(best), signs.size)
 
 
-def _last_qubit_split(state: SignState) -> tuple[float, Fraction | None]:
+def _last_qubit_split(signs: np.ndarray) -> tuple[float, Fraction | None]:
     """alpha of the (1..n-1 | n) cut from the exact 2x2 Gram of side B.
 
     The eigenvalue is rational exactly when the discriminant is a perfect
     square; otherwise only the float is returned.
     """
-    s = state.signs().astype(np.int64).reshape(-1, 2)
+    dim = signs.size
+    s = signs.astype(np.int64).reshape(-1, 2)
     g = s.T @ s
     a, b, d = int(g[0, 0]), int(g[0, 1]), int(g[1, 1])
     disc = (a - d) ** 2 + 4 * b * b
     root = math.isqrt(disc)
-    value = ((a + d) + math.sqrt(disc)) / (2 * state.dim)
+    value = ((a + d) + math.sqrt(disc)) / (2 * dim)
     if root * root == disc:
-        return value, Fraction(a + d + root, 2 * state.dim)
+        return value, Fraction(a + d + root, 2 * dim)
     return value, None
 
 
@@ -231,12 +322,13 @@ def procedure_alpha(h: Hypergraph, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT) ->
     state = build_state(h)
     if not is_permutation_invariant(state):
         raise ValueError("state is not permutation-invariant; the single-split comparison would be unjustified")
-    smax_sq, smax_exact = _last_qubit_split(state)
+    signs = state.signs()
+    smax_sq, smax_exact = _last_qubit_split(signs)
     rows: list[ProcedureRow] = []
     success = True
     alpha, alpha_exact = smax_sq, smax_exact
     for k in range(2, h.n // 2 + 1):
-        inf = _prefix_infinity_norm(state, h.n - k)
+        inf = _prefix_infinity_norm(signs, h.n - k)
         if smax_exact is not None:
             ok = inf <= smax_exact
         else:
@@ -245,7 +337,7 @@ def procedure_alpha(h: Hypergraph, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT) ->
         lam_ok: bool | None = None
         if not ok:
             success = False
-            gram = _prefix_gram(state, h.n - k)
+            gram = _prefix_gram(signs, h.n - k)
             lam = float(np.linalg.eigvalsh(gram.astype(np.float64))[-1]) / state.dim
             lam_ok = lam <= smax_sq + SPECTRAL_TOL
             if lam > alpha:
@@ -334,7 +426,7 @@ def reduced_structure_check(family: Family, n: int, k: int) -> StructureReport:
     from .hypergraph import build_family
 
     state = build_state(build_family(family, n))
-    gram = _prefix_gram(state, n - k)
+    gram = _prefix_gram(state.signs(), n - k)
     predicted = predicted_gram(family, n, k)
     deviation = int(np.abs(gram - predicted).max())
     values = tuple(sorted(int(v) for v in np.unique(gram)))

@@ -239,19 +239,14 @@ def extract_hypergraph(state: SignState) -> tuple[Hypergraph, int]:
 
 
 def is_permutation_invariant(state: SignState) -> bool:
-    """Check invariance under all vertex relabelings via adjacent swaps."""
-    n = state.n
-    if n == 1:
-        return True
-    s = state.signs()
-    xs = np.arange(state.dim)
-    for v in range(1, n):
-        p, q = label_bit(n, v), label_bit(n, v + 1)
-        diff = ((xs >> p) & 1) ^ ((xs >> q) & 1)
-        swapped = xs ^ ((diff << p) | (diff << q))
-        if not np.array_equal(s, s[swapped]):
-            return False
-    return True
+    """Check invariance under all vertex relabelings via adjacent swaps.
+
+    Axis i of the (2,)*n view of the sign table is vertex i + 1's bit, so
+    swapping two adjacent axes relabels two adjacent vertices; those swaps
+    generate every permutation.
+    """
+    t = state.signs().reshape((2,) * state.n)
+    return all(np.array_equal(t, t.swapaxes(i, i + 1)) for i in range(state.n - 1))
 
 
 def stabilizer_diagonal(h: Hypergraph, vertex: int) -> np.ndarray:

@@ -85,6 +85,17 @@ def dense_alpha_cut(amps: np.ndarray, n: int, part_a) -> float:
     return float(sv[0] ** 2)
 
 
+def per_cut_alpha(signs: np.ndarray, n: int, part_a) -> float:
+    """alpha of one cut computed on its own: the float64 Gram of the smaller
+    side's cut matrix (side A when both have n/2 vertices) and its top
+    eigenvalue over 2**n."""
+    side = sorted(part_a)
+    if len(side) > n // 2:
+        side = [v for v in range(1, n + 1) if v not in side]
+    m = cut_matrix(signs.astype(np.float64), n, side)
+    return float(np.linalg.eigvalsh(m @ m.T)[-1]) / 2**n
+
+
 def dense_alpha(amps: np.ndarray, n: int) -> float:
     best = 0.0
     for size in range(0, n - 1):

@@ -1,3 +1,4 @@
+import json
 import math
 import random
 import tracemalloc
@@ -21,6 +22,7 @@ from hyperwit import (
     canonicalize,
     closed_form_E,
     closed_form_alpha,
+    enumerate_bipartitions,
     infinity_norm,
     lower_bound_check,
     permute_vertices,
@@ -29,6 +31,7 @@ from hyperwit import (
     reduced_structure_check,
     schmidt,
 )
+from hyperwit.cli import main
 from hyperwit.entanglement import _exact_infinity_norm, _prefix_gram, _prefix_infinity_norm
 
 GOLDEN_RATIO_ALPHA = (3 + math.sqrt(5)) / 8
@@ -101,6 +104,80 @@ def test_argmax_tie_break_is_lexicographic():
     assert abs(line.alpha - 0.5) <= 1e-12
 
 
+def _assert_sweep_matches_per_cut(h):
+    state = build_state(h)
+    signs = state.signs()
+    rep = alpha_multipartite(state, sweep_limit=h.n)
+    assert [bp for bp, _ in rep.alpha_per_bipartition] == enumerate_bipartitions(h.n)
+    for bp, a in rep.alpha_per_bipartition:
+        assert a == oracles.per_cut_alpha(signs, h.n, bp.part_a), (h, bp.part_a)
+    assert rep.alpha == max(a for _, a in rep.alpha_per_bipartition)
+
+
+@given(hypergraphs(min_n=2, max_n=8), st.data())
+def test_sweep_equals_per_cut_reference_random(h, data):
+    _assert_sweep_matches_per_cut(h)
+    bp = data.draw(st.sampled_from(enumerate_bipartitions(h.n)))
+    assert alpha_bipartite(build_state(h), bp) == oracles.per_cut_alpha(build_state(h).signs(), h.n, bp.part_a)
+
+
+def test_sweep_equals_per_cut_reference_families():
+    # permutation-invariant states: one cut per size is evaluated and shared
+    for fam in Family:
+        for n in range(3, 11):
+            _assert_sweep_matches_per_cut(build_family(fam, n))
+
+
+def test_sweep_tie_break_on_symmetric_states(capsys):
+    # Every cut of one size ties on a symmetric state, so the first maximum
+    # by part_a must win. The two asymmetric states tie on cuts whose first
+    # by part_a is not the first in enumeration order.
+    states = [build_family(fam, n) for fam in Family for n in range(4, 10)]
+    states += [canonicalize([[1, 4]], 6), canonicalize([[1], [1, 2, 3, 4, 5], [1, 2, 4, 5], [1, 3, 5], [2, 3, 4]], 5)]
+    for h in states:
+        rep = alpha_multipartite(build_state(h))
+        ties = sorted(bp.part_a for bp, a in rep.alpha_per_bipartition if a == rep.alpha)
+        assert len(ties) > 1, h
+        assert rep.argmax_bipartition.part_a == ties[0], h
+    assert main(["entanglement", "--mode", "brute", "--family", "all-n-1", "--n", "6"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    ties = sorted(r["part_a"] for r in doc["per_bipartition"] if r["alpha"] == doc["alpha"])
+    assert len(ties) > 1 and doc["argmax_part_a"] == ties[0]
+
+
+def test_sweep_at_n12_gathers_in_small_batches():
+    # A batch of 2**18 sign entries peaks near 7 MiB here, one of 2**14
+    # near 1.6 MiB.
+    rng = random.Random(12)
+    first, second = (
+        build_state(canonicalize([rng.sample(range(1, 13), rng.randint(2, 12)) for _ in range(24)], 12))
+        for _ in range(2)
+    )
+    alpha_multipartite(first)  # builds the cached plan for n = 12
+    tracemalloc.start()
+    try:
+        rep = alpha_multipartite(second)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(rep.alpha_per_bipartition) == 2047
+    assert peak < 4 << 20, peak
+
+
+def test_procedure_unpacks_the_sign_table_once(monkeypatch):
+    calls = []
+    unpack = SignState.signs
+
+    def counted(self):
+        calls.append(self.n)
+        return unpack(self)
+
+    monkeypatch.setattr(SignState, "signs", counted)
+    procedure_alpha(build_family(Family.ALL_N_MINUS_1, 12))
+    # one for the procedure, one for is_permutation_invariant
+    assert len(calls) == 2
+
+
 def test_procedure_exception_case_even_4():
     rep = procedure_alpha(build_family(Family.ALL_N_MINUS_1, 4))
     assert rep.smax_squared_exact == Fraction(1, 2)
@@ -143,14 +220,14 @@ def test_prefix_infinity_norm_matches_gram_families():
         for n in range(3, 13):
             s = build_state(build_family(fam, n))
             for kept in range(1, n):
-                assert _prefix_infinity_norm(s, kept) == _exact_infinity_norm(_prefix_gram(s, kept), s.dim), (fam, n, kept)
+                assert _prefix_infinity_norm(s.signs(), kept) == _exact_infinity_norm(_prefix_gram(s.signs(), kept), s.dim), (fam, n, kept)
 
 
 @given(hypergraphs(min_n=2, max_n=8), st.data())
 def test_prefix_infinity_norm_matches_gram_random(h, data):
     s = build_state(h)
     kept = data.draw(st.integers(1, h.n - 1))
-    assert _prefix_infinity_norm(s, kept) == _exact_infinity_norm(_prefix_gram(s, kept), s.dim)
+    assert _prefix_infinity_norm(s.signs(), kept) == _exact_infinity_norm(_prefix_gram(s.signs(), kept), s.dim)
 
 
 def test_prefix_infinity_norm_spans_row_blocks():
@@ -162,7 +239,7 @@ def test_prefix_infinity_norm_spans_row_blocks():
         neg |= 0xFFFF << (16 * r)
     s = SignState(13, neg)
     assert len(np.unique(s.signs().reshape(1 << 9, -1), axis=0)) > 256
-    assert _prefix_infinity_norm(s, 9) == _exact_infinity_norm(_prefix_gram(s, 9), s.dim)
+    assert _prefix_infinity_norm(s.signs(), 9) == _exact_infinity_norm(_prefix_gram(s.signs(), 9), s.dim)
 
 
 def test_procedure_at_n16_stays_small():

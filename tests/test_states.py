@@ -1,4 +1,6 @@
+import random
 from fractions import Fraction
+from itertools import combinations, permutations
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from hyperwit import (
     extract_hypergraph,
     is_permutation_invariant,
     overlap,
+    permute_vertices,
     plus_state,
     projector_identity_check,
 )
@@ -221,6 +224,27 @@ def test_permutation_invariance():
     assert is_permutation_invariant(build_state(build_family(Family.SINGLE_MAX_EDGE, 5)))
     line = build_state(canonicalize([[1, 2], [2, 3]], 3))
     assert not is_permutation_invariant(line)
+
+
+@given(hypergraphs(max_n=5))
+def test_permutation_invariance_matches_every_relabeling(h):
+    state = build_state(h)
+    want = all(build_state(permute_vertices(h, perm)) == state for perm in permutations(range(1, h.n + 1)))
+    assert is_permutation_invariant(state) == want
+
+
+def test_permutation_invariance_of_complete_layers():
+    # invariant exactly when the edge set is a union of complete k-uniform
+    # layers; one toggled edge of size 1..n-1 breaks the layer it sits in
+    rng = random.Random(7)
+    for n in range(2, 11):
+        for _ in range(5):
+            layers = [k for k in range(1, n + 1) if rng.random() < 0.5]
+            edges = [list(e) for k in layers for e in combinations(range(1, n + 1), k)]
+            h = canonicalize(edges, n)
+            assert is_permutation_invariant(build_state(h)), (n, layers)
+            extra = sorted(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
+            assert not is_permutation_invariant(build_state(canonicalize(edges + [extra], n))), (n, layers, extra)
 
 
 def test_hex_round_trip():
