@@ -10,6 +10,7 @@ import json
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 
 from .campaign import lower_bound_campaign
 from .entanglement import (
@@ -70,7 +71,9 @@ def _instance_parser() -> argparse.ArgumentParser:
     return p
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing never mutates it."""
     common = _common_parser()
     instance = _instance_parser()
     root = argparse.ArgumentParser(prog="hyperwit", description=__doc__)

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,9 @@ from conftest import nonempty_hypergraphs
 from hyperwit import (
     Bipartition,
     Family,
+    Hypergraph,
     LoccReductionError,
+    LoccValidationError,
     StepKind,
     bipartition_after_measurement,
     build_family,
@@ -21,8 +24,10 @@ from hyperwit import (
     pauli_z_toggle,
     reduce as locc_reduce,
     remove_non_crossing,
+    toggle_edges,
     z_measure,
 )
+from hyperwit import locc
 
 DRAWN = canonicalize([[1, 2], [3, 4], [3, 4, 5], [2, 3, 4, 5]], 5)
 DRAWN_CUT = Bipartition.of(5, [1, 2, 3])
@@ -177,3 +182,70 @@ def test_reduce_certificates_validate(h, pick):
     assert cert.entanglement_ab >= float(cert.bound) - 1e-9
     for b in cert.branches:
         assert len(b.leaf.edges) == 1
+
+
+def test_reduce_above_oracle_limit_warns_once():
+    h = canonicalize([[1, 2, 3], [3, 4], [4, 5, 6], [6, 7], [7, 8, 9], [9, 10, 11], [2, 10]], 11)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        cert = locc_reduce(h, Bipartition.of(11, [1, 2, 3, 4, 5]))
+    assert cert.steps_total > 100
+    assert [w.category for w in caught] == [RuntimeWarning]
+    assert caught[0].filename == __file__
+
+
+# The rules build their output through the `Hypergraph` and `toggle_edges`
+# names of the locc module; patching those there moves the output one edge
+# off while the oracle, which builds sign tables in `states`, is untouched.
+OFF_EDGE = (1,)
+
+
+def _one_edge_off_hypergraph(monkeypatch):
+    monkeypatch.setattr(locc, "Hypergraph", lambda n, edges: toggle_edges(Hypergraph(n, edges), [OFF_EDGE]))
+
+
+def _one_edge_off_toggle(monkeypatch):
+    monkeypatch.setattr(locc, "toggle_edges", lambda base, extra: toggle_edges(base, [*extra, OFF_EDGE]))
+
+
+@pytest.mark.parametrize("outcome", [0, 1])
+def test_oracle_catches_wrong_z_measure_rule(monkeypatch, outcome):
+    _one_edge_off_hypergraph(monkeypatch)
+    with pytest.raises(LoccValidationError, match="z_measure"):
+        z_measure(DRAWN, 3, outcome)
+
+
+def test_oracle_catches_wrong_pauli_x_rule(monkeypatch):
+    _one_edge_off_hypergraph(monkeypatch)
+    with pytest.raises(LoccValidationError, match="pauli_x_toggle"):
+        pauli_x_toggle(DRAWN, 3)
+
+
+def test_oracle_catches_wrong_pauli_z_rule(monkeypatch):
+    _one_edge_off_toggle(monkeypatch)
+    with pytest.raises(LoccValidationError, match="pauli_z_toggle"):
+        pauli_z_toggle(DRAWN, 2)
+
+
+def test_oracle_catches_wrong_remove_non_crossing_rule(monkeypatch):
+    _one_edge_off_toggle(monkeypatch)
+    h = canonicalize([[1, 2], [3, 4], [2, 3, 4], [1, 2, 3, 4]], 4)
+    with pytest.raises(LoccValidationError, match="remove_non_crossing"):
+        remove_non_crossing(h, [1, 2], keep=(2, 3, 4))
+
+
+class _VertexOneMatchingTwo(int):
+    """Vertex 1 that also compares equal to 2. The X rule then counts both
+    single-vertex edges as lying on it, so their sign flips cancel, while the
+    oracle's X still acts on qubit 1 alone and leaves a global -1."""
+
+    def __eq__(self, other):
+        return other == 1 or other == 2
+
+    __hash__ = int.__hash__
+
+
+def test_oracle_catches_wrong_pauli_x_sign():
+    h = canonicalize([[1], [2]], 2)
+    with pytest.raises(LoccValidationError, match="pauli_x_toggle"):
+        pauli_x_toggle(h, _VertexOneMatchingTwo(1))
