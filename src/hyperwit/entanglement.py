@@ -278,9 +278,15 @@ def _prefix_infinity_norm(signs: np.ndarray, kept: int) -> Fraction:
     most 2**n <= 2**24 < 2**53, so the float64 products and sums are exact.
     """
     s = signs.reshape(1 << kept, -1)
-    # np.unique sorts rows as byte strings; packing to bits makes them 8x shorter
-    packed, counts = np.unique(np.packbits(s < 0, axis=1), axis=0, return_counts=True)
-    rows = 1.0 - 2.0 * np.unpackbits(packed, axis=1, count=s.shape[1])
+    # Equal rows are found on their packed bits, zero-padded to whole uint64
+    # words: sorting by every word makes them adjacent.
+    packed = np.packbits(s < 0, axis=1)
+    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
+    order = np.lexsort(words.T)
+    ordered = words[order]
+    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
+    counts = np.diff(np.r_[starts, len(order)])
+    rows = 1.0 - 2.0 * np.unpackbits(packed[order[starts]], axis=1, count=s.shape[1])
     weights = counts.astype(np.float64)
     best = 0.0
     for start in range(0, len(rows), _NORM_BLOCK_ROWS):

@@ -242,6 +242,23 @@ def test_prefix_infinity_norm_spans_row_blocks():
     assert _prefix_infinity_norm(s.signs(), 9) == _exact_infinity_norm(_prefix_gram(s.signs(), 9), s.dim)
 
 
+@pytest.mark.parametrize("n, kept", [(12, 3), (13, 9)])  # rows of 512 bits (eight words) and of 16
+def test_prefix_infinity_norm_counts_repeated_rows(n, kept):
+    # Every row is one of six patterns: three random ones and the same three
+    # with the last column flipped, so some distinct rows agree on every
+    # packed word but the last.
+    rng = random.Random(n)
+    cols = 1 << (n - kept)
+    patterns = [rng.getrandbits(cols) for _ in range(3)]
+    patterns += [p ^ (1 << (cols - 1)) for p in patterns]
+    rows = [patterns[r % 6] for r in range(1 << kept)]
+    rng.shuffle(rows)
+    neg = sum(row << (cols * r) for r, row in enumerate(rows))
+    s = SignState(n, neg)
+    assert len(np.unique(s.signs().reshape(1 << kept, -1), axis=0)) == 6
+    assert _prefix_infinity_norm(s.signs(), kept) == _exact_infinity_norm(_prefix_gram(s.signs(), kept), s.dim)
+
+
 def test_procedure_at_n16_stays_small():
     # the full int64 Gram at k = 2 alone would take 2 GiB
     for fam in Family:

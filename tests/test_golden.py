@@ -96,6 +96,28 @@ def _sweep_runs() -> list[list[str]]:
     return runs
 
 
+def _document_runs() -> list[list[str]]:
+    """Document shapes the lists above do not pin: state text, the basis and
+    projector checks, witness evaluation and tables, closed-form entanglement."""
+    instances = [["--family", "all-n-1", "--n", "4"], ["--edges", "[[1,2],[2,3,4],[5]]", "--n", "5"]]
+    runs: list[list[str]] = []
+    for instance in instances:
+        runs.append(["state", "build", *instance])
+        runs.append(["verify", "basis", *instance])
+        runs.append(["verify", "projector", *instance])
+    for kind in ("projector", "stabilizer"):
+        for alpha_mode in ("generic", "closed-form"):
+            for p in ("1/3", "0.3"):
+                runs.append(["witness", "eval", "--family", "all-n-1", "--n", "4", "--kind", kind,
+                             "--alpha-mode", alpha_mode, "--p", p])
+    for family in FAMILIES:
+        for fmt in ("json", "csv"):
+            runs.append(["witness", "table", "--family", family, "--n-range", "3..8", "--format", fmt])
+        for n in (3, 4, 5, 9):
+            runs.append(["entanglement", "--mode", "closed-form", "--family", family, "--n", str(n)])
+    return runs
+
+
 def _settings_runs() -> list[list[str]]:
     rng = random.Random(SETTINGS_SEED)
     instances = [(n, ["--edges", _small_edges(n, rng), "--n", str(n)]) for n in range(2, 8)]
@@ -130,7 +152,7 @@ def invocations() -> list[list[str]]:
             runs.append(["entanglement", "--cross-check", "--family", family, "--n", str(n)])
     for n in range(2, 9):
         runs.append(["entanglement", "--cross-check", "--edges", _random_edges(n, rng), "--n", str(n)])
-    return runs + _settings_runs() + _sweep_runs()
+    return runs + _settings_runs() + _sweep_runs() + _document_runs()
 
 
 def run(argv: list[str]) -> dict:
