@@ -129,13 +129,6 @@ def _resolve_hypergraph(args: argparse.Namespace) -> Hypergraph:
     raise ValueError("give either --family or --edges")
 
 
-def _parse_number(text: str) -> Number:
-    try:
-        return Fraction(text)
-    except ValueError:
-        return float(text)
-
-
 def _parse_range(text: str) -> list[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
@@ -354,7 +347,10 @@ def _cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
     if args.action == "eval":
         if args.p is None:
             raise ValueError("eval needs --p")
-        p = _parse_number(args.p)
+        try:
+            p = Fraction(args.p)
+        except (ValueError, ZeroDivisionError):
+            raise ValueError(f"--p must be a finite decimal or fraction, got {args.p!r}") from None
         value = expectation(spec, NoisyState(h, p))
         doc["p"] = exact_json(p)
         doc["expectation"] = exact_json(value)

@@ -1,29 +1,41 @@
 """Exact Pauli decomposition of stabilizer products and setting counts.
 
 A product of stabilizers over a vertex subset T equals (X on every T
-vertex) times a +-1 diagonal, so its Pauli strings carry X-part exactly T.
-The string weights come from one Walsh-Hadamard transform of that diagonal,
-in integers: the string with Y on U = m&T and Z on V = m&T^c has
-coefficient (-1)^(|U|/2) * W[m] / 2**n. Odd-|U| masks always transform to
-zero, which is hermiticity appearing on its own; it is asserted, not
-assumed.
+vertex) times a +-1 diagonal d_T, so its Pauli strings carry X-part exactly
+T. The string weights come from the Walsh-Hadamard transform W of d_T, in
+integers: the string with Y on U = m&T and Z on V = m&T^c has coefficient
+(-1)^(|U|/2) * W[m] / 2**n. Odd-|U| masks always transform to zero, which
+is hermiticity appearing on its own; it is asserted, not assumed.
 
-The engine works on letter codes (I=0, X=1, Y=2, Z=3, qubit 1 first). The
-n vertex diagonals are computed once per witness; each subset's surviving
-masks become a (strings, n) uint8 code array and signed weight numerators
-in numpy. For n <= DENSE_VALIDATE_LIMIT every block is summed back into a
-dense matrix, entry by entry from the single-qubit Paulis, and compared
-with the dense product. A code row packs to a base-4 integer key, whose
-order is the order of the letter strings. PauliString objects and letter
-strings are built only for the public API and for the final settings.
+The engine is stacked. Subsets are rows of a (subsets, 2**n) array, each
+known by its label mask T, and one row-wise int64 transform covers a chunk
+of them. The diagonals of all subsets come from one recursion that prepends
+vertices n..1, one gather per vertex: d_{{v} | T}(x) = D_v(x ^ T) * d_T(x)
+for T above v. Chunks of subsets hold a bounded number of entries; a chunk
+of subsets sharing their high vertices H is the one gather
+d_H(x ^ T) * d_T(x).
+
+A string is a pair of bitmasks, X-part x and Z-part z (the transform mask).
+Its base-4 key spread(x ^ z) | spread(z) << 1, with spread moving bit i to
+bit 2i, holds the letter codes I=0, X=1, Y=2, Z=3 with qubit 1 most
+significant, so key order is letter-string order. The canonical completion
+sets z |= ~x. For n <= DENSE_VALIDATE_LIMIT every chunk is summed back into
+(subsets, 2**n, 2**n) Gaussian-integer matrices, numerator times a power of
+i tracked mod 4 qubit by qubit from the codes, and compared for equality
+with 2**n times the dense products. PauliString objects and letter strings
+are built only for the public API and for the final settings.
 
 A measurement setting assigns one of X, Y, Z per qubit; a string is
 measurable in a setting that matches all its non-identity letters. The
 canonical grouping completes identities to Z, which reproduces the counting
-arguments for the built-in families. The greedy cover is a first-fit over
-(x_mask, z_mask, support) bitmasks in key order, qubit-wise-commuting
-grouping as in Verteletskyi, Yen & Izmaylov, J. Chem. Phys. 152, 124114
-(2020); it falls back to the canonical grouping when first-fit does worse.
+arguments for the built-in families. Every string of a vertex stabilizer
+K_i is X on i and Z or I elsewhere, so the canonical settings of the
+stabilizer witness are X on i and Z elsewhere, one per vertex, with no
+expansion (cross-checked against the engine for n <= DENSE_VALIDATE_LIMIT).
+The greedy cover is a first-fit over (x_mask, z_mask, support) bitmasks in
+key order, qubit-wise-commuting grouping as in Verteletskyi, Yen & Izmaylov,
+J. Chem. Phys. 152, 124114 (2020); it falls back to the canonical grouping
+when first-fit does worse.
 """
 
 from __future__ import annotations
@@ -32,26 +44,36 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .states import label_of_vertices, stabilizer_diagonal, stabilizer_product_diagonal
+from .states import label_of_vertices, stabilizer_diagonal, stabilizer_product_diagonal, vertices_of_label
 from .witness import WitnessKind, WitnessSpec
 
 DENSE_VALIDATE_LIMIT = 6
 SYMBOLIC_LIMIT = 10
 
+# Distinct keys are marked in a table of all 4**n keys up to this size, and
+# sorted beyond it.
+_KEY_TABLE = 1 << 20
+# Subsets are expanded in chunks of at most this many entries (subsets times
+# 2**n, or times 4**n under the dense check); one subset when a single one
+# is larger.
+_CHUNK_ENTRIES = 1 << 14
+
 _LETTERS = "IXYZ"
 _LETTER_BYTES = np.frombuffer(_LETTERS.encode(), dtype=np.uint8)
 _CODE_OF_BYTE = np.zeros(256, dtype=np.uint8)
 _CODE_OF_BYTE[_LETTER_BYTES] = np.arange(4)
-# Symplectic bits of each code (X-part x, Z-part z) and the code of (x, z) at 2x + z.
+# Symplectic bits of each code (X-part x, Z-part z).
 _X_BIT = np.array([0, 1, 1, 0])
 _Z_BIT = np.array([0, 0, 1, 1])
-_CODE_OF_XZ = np.array([0, 3, 1, 2], dtype=np.uint8)
-_COMPLETED = np.array([3, 1, 2, 3], dtype=np.uint8)
+# Each byte value with bit i moved to bit 2i.
+_SPREAD_BYTE = np.array([sum(((b >> i) & 1) << (2 * i) for i in range(8)) for b in range(256)], dtype=np.int64)
+# Power of i of a single-qubit Pauli's entry in column bit c (row bit c ^ x), by code.
+_PHASE = np.array([[0, 0], [0, 0], [1, 3], [0, 2]], dtype=np.int8)
 
 
 class SettingMode(Enum):
@@ -83,26 +105,12 @@ class PauliString:
         return self.letters.replace("I", "Z")
 
 
-def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
-    out = values.astype(np.int64)
-    h = 1
-    while h < out.size:
-        pairs = out.reshape(-1, 2, h)
-        top = pairs[:, 0, :] + pairs[:, 1, :]
-        pairs[:, 1, :] = pairs[:, 0, :] - pairs[:, 1, :]
-        pairs[:, 0, :] = top
-        h *= 2
-    return out
-
-
 _DENSE_PAULI = {
     "I": np.eye(2, dtype=np.complex128),
     "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
     "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
     "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
 }
-# Entry (row bit r, column bit c) of the Pauli with code k sits at 4k + 2r + c.
-_PAULI_ENTRIES = np.array([_DENSE_PAULI[c] for c in _LETTERS]).reshape(-1)
 
 
 def dense_pauli(letters: str) -> np.ndarray:
@@ -126,62 +134,157 @@ def _bits(values: np.ndarray, n: int, width: int = 1) -> np.ndarray:
     return out
 
 
-def _pauli_sum(codes: np.ndarray, coefficients: np.ndarray) -> np.ndarray:
-    """Dense sum of coefficient * string over the rows of a code array.
+def _spread(values: np.ndarray, n: int) -> np.ndarray:
+    """Bit i of each n-bit value moved to bit 2i."""
+    out = _SPREAD_BYTE[values & 255]
+    for low in range(8, n, 8):
+        out |= _SPREAD_BYTE[(values >> low) & 255] << (2 * low)
+    return out
 
-    Built by scatter: column x of a string has its one entry in row
-    x ^ (X-part), the product over qubits of the single-qubit entry at
-    (row bit, column bit). Work arrays stay (strings, 2**n).
+
+def _keys(x: np.ndarray, z: np.ndarray, n: int, *, complete: bool = False) -> np.ndarray:
+    """Base-4 keys of strings (x, z); complete=True measures Z on every identity."""
+    if complete:
+        z = z | (~x & ((1 << n) - 1))
+    keys = _spread(z, n)
+    keys <<= 1
+    keys |= _spread(x ^ z, n)
+    return keys
+
+
+def _walsh_hadamard(values: np.ndarray) -> np.ndarray:
+    """Row-wise Walsh-Hadamard transform of a (rows, 2**n) array, in int64."""
+    out = values.astype(np.int64)
+    spare = np.empty(out.size // 2, dtype=np.int64)
+    h = 1
+    while h < out.shape[-1]:
+        pairs = out.reshape(-1, 2, h)
+        top, bottom, total = pairs[:, 0, :], pairs[:, 1, :], spare.reshape(-1, h)
+        np.add(top, bottom, out=total)
+        np.subtract(top, bottom, out=bottom)
+        top[...] = total
+        h *= 2
+    return out
+
+
+def _exact_sum(n: int, rows: np.ndarray, keys: np.ndarray, numerators: np.ndarray, count: int) -> np.ndarray:
+    """Per row r < count, the sum of numerator * string over the strings in r.
+
+    A string's entry in column c sits in row c ^ x and is a power of i, the
+    sum mod 4 of each qubit's _PHASE by code and column bit; i**p is real
+    for even p and imaginary for odd p. Returns (count, 2**n, 2**n, 2)
+    int64, real and imaginary parts last.
     """
-    n = codes.shape[1]
     dim = 1 << n
     cols = np.arange(dim)
-    col_bits = _bits(cols, n)
-    flips = _X_BIT[codes]
-    rows = cols ^ (flips @ (1 << _shifts(n)))[:, None]
-    values = np.repeat(coefficients.astype(np.complex128)[:, None], dim, axis=1)
-    for q in range(n):
-        row_bits = col_bits[:, q] ^ flips[:, q, None]
-        values *= _PAULI_ENTRIES[4 * codes[:, q, None] + 2 * row_bits + col_bits[:, q]]
-    flat = (rows * dim + cols).ravel()
-    real = np.bincount(flat, values.real.ravel(), dim * dim)
-    imag = np.bincount(flat, values.imag.ravel(), dim * dim)
-    return (real + 1j * imag).reshape(dim, dim)
+    x = np.zeros(keys.size, dtype=np.int64)
+    phase = np.zeros((keys.size, dim), dtype=np.int8)
+    for shift in range(n):
+        code = (keys >> (2 * shift)) & 3
+        x |= _X_BIT[code] << shift
+        phase += _PHASE[code[:, None], (cols >> shift) & 1]
+    cell = rows[:, None] * dim + (cols ^ x[:, None])
+    cell *= dim
+    cell += cols
+    cell *= 2
+    cell += phase & 1
+    out = np.zeros((count, dim, dim, 2), dtype=np.int64)
+    np.add.at(out.reshape(-1), cell, numerators[:, None] * (1 - (phase & 2)))
+    return out
 
 
-def _dense_product(n: int, tmask: int, diagonal: np.ndarray) -> np.ndarray:
-    dim = 1 << n
-    xs = np.arange(dim)
-    m = np.zeros((dim, dim), dtype=np.complex128)
-    m[xs ^ tmask, xs] = diagonal
-    return m
+def _check_dense(n: int, labels: np.ndarray, diagonals: np.ndarray, rows: np.ndarray, x: np.ndarray,
+                 z: np.ndarray, numerators: np.ndarray) -> None:
+    """Exact equality of the expansion with 2**n times each dense product."""
+    cols = np.arange(1 << n)
+    excess = _exact_sum(n, rows, _keys(x, z, n), numerators, labels.size)
+    excess[np.arange(labels.size)[:, None], cols ^ labels[:, None], cols, 0] -= diagonals.astype(np.int64) << n
+    if excess.any():
+        raise ValueError("Pauli expansion disagrees with the dense product")
 
 
-def _decompose(n: int, vs: tuple[int, ...], diagonal: np.ndarray, validate: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Letter codes and weight numerators (over 2**n) of one subset product.
-
-    Mask m's string has X-part T and Z-part m.
-    """
-    tmask = label_of_vertices(n, vs)
-    weights = _walsh_hadamard(diagonal)
-    y_counts = np.bitwise_count(np.arange(weights.size) & tmask).astype(np.int64)
-    if weights[(y_counts & 1) == 1].any():
+def _chunk_strings(n: int, labels: np.ndarray, diagonals: np.ndarray, validate: bool, *, signed: bool
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(x, z, numerators over 2**n) of the nonzero weights of a chunk of subset
+    rows, row by row and by ascending z within a row; numerators are None
+    unless signed or validated."""
+    weights = _walsh_hadamard(diagonals)
+    rows, z = np.nonzero(weights)
+    x = labels[rows]
+    y_counts = np.bitwise_count(x & z)
+    if (y_counts & 1).any():
         raise ValueError("odd Y count with nonzero weight; hermiticity violated")
-    masks = np.flatnonzero(weights)
-    numerators = weights[masks] * (1 - (y_counts[masks] & 2))
-    codes = _CODE_OF_XZ[2 * ((tmask >> _shifts(n)) & 1) + _bits(masks, n)]
+    if not (signed or validate):
+        return x, z, None
+    numerators = weights[rows, z]
+    numerators[(y_counts & 2) != 0] *= -1
     if validate:
-        rebuilt = _pauli_sum(codes, numerators / (1 << n))
-        if float(np.abs(rebuilt - _dense_product(n, tmask, diagonal)).max()) > 1e-12:
-            raise ValueError("Pauli expansion disagrees with the dense product")
-    return codes, numerators
+        _check_dense(n, labels, diagonals, rows, x, z, numerators)
+    return x, z, numerators
 
 
-def _blocks(h: Hypergraph, subsets: Iterable[tuple[int, ...]]) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """Decompose each subset product, sharing the vertex diagonals."""
-    diagonals = np.stack([stabilizer_diagonal(h, v) for v in h.vertices()])
-    for vs in subsets:
-        yield _decompose(h.n, vs, stabilizer_product_diagonal(h, vs, diagonals), h.n <= DENSE_VALIDATE_LIMIT)
+def _expand(n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]], validate: bool
+            ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(x, z, numerators) of each chunk of (labels, diagonals) subset rows."""
+    for labels, diagonals in chunks:
+        yield _chunk_strings(n, labels, diagonals, validate, signed=True)
+
+
+def _chunk_keys(n: int, labels: np.ndarray, diagonals: np.ndarray, validate: bool, complete: bool) -> np.ndarray:
+    """Keys of the strings of a chunk, completed or not; a chunk's strings
+    are freed before the next chunk is expanded."""
+    x, z, _ = _chunk_strings(n, labels, diagonals, validate, signed=False)
+    return _keys(x, z, n, complete=complete)
+
+
+def _chunk_rows(n: int, validate: bool) -> int:
+    return max(1, _CHUNK_ENTRIES >> (2 * n if validate else n))
+
+
+def _product_table(diagonals: np.ndarray, last: int) -> np.ndarray:
+    """d_T of every T within {n - last + 1..n}, row t holding the T labelled t.
+
+    Prepends vertices n..n-last+1, one gather each; +-1 entries as int8.
+    """
+    n, dim = diagonals.shape
+    xs = np.arange(dim)
+    table = np.ones((1 << last, dim), dtype=np.int8)
+    for j, v in enumerate(range(n, n - last, -1)):
+        size = 1 << j
+        np.multiply(diagonals[v - 1][xs ^ np.arange(size)[:, None]], table[:size], out=table[size : 2 * size])
+    return table
+
+
+def _all_subset_chunks(h: Hypergraph, validate: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(labels, diagonals) of every nonempty subset, in label order.
+
+    A chunk holds the subsets with one choice H of high vertices 1..n-low,
+    each H | T the gather d_H(x ^ T) * d_T(x) over the low table; x ^ T
+    moves only the low bits, so the gather is a permutation within each
+    block of 2**low entries.
+    """
+    n = h.n
+    low = min(n, _chunk_rows(n, validate).bit_length() - 1)
+    diagonals = np.stack([stabilizer_diagonal(h, v) for v in h.vertices()]).astype(np.int8)
+    lows = _product_table(diagonals, low)
+    tails = np.arange(1 << low)
+    if low:
+        yield tails[1:], lows[1:]
+    within = tails ^ tails[:, None]
+    for high in range(1, 1 << (n - low)):
+        head = stabilizer_product_diagonal(h, vertices_of_label(n, high << low), diagonals).astype(np.int8)
+        shifted = head.reshape(-1, 1 << low)[:, within].transpose(1, 0, 2).reshape(lows.shape)
+        yield (high << low) | tails, shifted * lows
+
+
+def _listed_chunks(h: Hypergraph, subsets: Sequence[tuple[int, ...]], validate: bool
+                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(labels, diagonals) of the given subsets, in the given order."""
+    step = _chunk_rows(h.n, validate)
+    for start in range(0, len(subsets), step):
+        part = subsets[start : start + step]
+        labels = np.array([label_of_vertices(h.n, vs) for vs in part], dtype=np.int64)
+        yield labels, np.stack([stabilizer_product_diagonal(h, vs) for vs in part])
 
 
 def _all_subsets(n: int) -> Iterator[tuple[int, ...]]:
@@ -195,37 +298,42 @@ def _letters(codes: np.ndarray) -> list[str]:
     return [text[i : i + n] for i in range(0, len(text), n)]
 
 
-def _pauli_strings(codes: np.ndarray, numerators: np.ndarray) -> tuple[PauliString, ...]:
-    dim = 1 << codes.shape[1]
-    return tuple(
-        PauliString(letters, Fraction(w, dim)) for letters, w in zip(_letters(codes), numerators.tolist())
-    )
+def _pauli_strings(n: int, x: np.ndarray, z: np.ndarray, numerators: np.ndarray) -> tuple[PauliString, ...]:
+    letters = _letters(_bits(_keys(x, z, n), n, 2))
+    return tuple(PauliString(p, Fraction(w, 1 << n)) for p, w in zip(letters, numerators.tolist()))
 
 
-def _string_codes(strings: Iterable[PauliString]) -> np.ndarray:
-    """Code array of public strings; identity strings are rejected."""
+def _string_masks(strings: Iterable[PauliString]) -> tuple[np.ndarray, np.ndarray, int]:
+    """(x, z, n) of public strings; identity strings are rejected."""
     letters = [s.letters for s in strings]
     if not letters:
-        return np.zeros((0, 1), dtype=np.uint8)
+        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 1
     n = len(letters[0])
     if any(len(p) != n for p in letters):
         raise ValueError("strings act on different qubit counts")
     codes = _CODE_OF_BYTE[np.frombuffer("".join(letters).encode(), dtype=np.uint8)].reshape(-1, n)
     if not codes.any(axis=1).all():
         raise ValueError("identity string carries no measurement setting")
-    return codes
+    place = 1 << _shifts(n)
+    return _X_BIT[codes] @ place, _Z_BIT[codes] @ place, n
 
 
-def _sorted_keys(blocks: Iterable[np.ndarray]) -> np.ndarray:
-    """Distinct base-4 keys of the rows of code blocks, sorted.
+def _sorted_keys(blocks: Iterable[np.ndarray], n: int) -> np.ndarray:
+    """Distinct keys of the blocks, sorted; memory holds one block and the result.
 
-    Key order is letter-string order. Each block is reduced to its keys as
-    it arrives, so memory holds one block and the distinct keys.
+    Keys below 4**n <= _KEY_TABLE are marked in a table of all keys, which
+    needs no sort; larger spaces are merged block by block with a sort.
     """
-    keys: set[int] = set()
-    for codes in blocks:
-        keys.update((codes.astype(np.int64) @ (1 << (2 * _shifts(codes.shape[1])))).tolist())
-    return np.array(sorted(keys), dtype=np.int64)
+    if 4**n <= _KEY_TABLE:
+        seen = np.zeros(4**n, dtype=bool)
+        for block in blocks:
+            seen[block] = True
+        return np.flatnonzero(seen)
+    keys = np.zeros(0, dtype=np.int64)
+    for block in blocks:
+        keys = np.sort(np.concatenate((keys, block)))
+        keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]
+    return keys
 
 
 def _settings(keys: np.ndarray, n: int) -> tuple[str, ...]:
@@ -242,8 +350,9 @@ def _first_fit(keys: np.ndarray, n: int) -> tuple[str, ...]:
     """
     codes = _bits(keys, n, 2)
     place = 1 << _shifts(n)
+    xs, zs = _X_BIT[codes] @ place, _Z_BIT[codes] @ place
     groups: list[tuple[int, int, int]] = []
-    for x, z in zip((_X_BIT[codes] @ place).tolist(), (_Z_BIT[codes] @ place).tolist()):
+    for x, z in zip(xs.tolist(), zs.tolist()):
         s = x | z
         for i, (gx, gz, gs) in enumerate(groups):
             if not ((gx ^ x) | (gz ^ z)) & gs & s:
@@ -252,9 +361,14 @@ def _first_fit(keys: np.ndarray, n: int) -> tuple[str, ...]:
         else:
             groups.append((x, z, s))
     masks = np.array(groups, dtype=np.int64).reshape(-1, 3)
-    merged = _sorted_keys([_COMPLETED[_CODE_OF_XZ[2 * _bits(masks[:, 0], n) + _bits(masks[:, 1], n)]]])
-    canonical = _sorted_keys([_COMPLETED[codes]])
+    merged = _sorted_keys([_keys(masks[:, 0], masks[:, 1], n, complete=True)], n)
+    canonical = _sorted_keys([_keys(xs, zs, n, complete=True)], n)
     return _settings(merged if merged.size <= canonical.size else canonical, n)
+
+
+def _stabilizer_settings(n: int) -> tuple[str, ...]:
+    """Canonical settings of the stabilizer witness: X on vertex i, Z elsewhere."""
+    return tuple("Z" * (i - 1) + "X" + "Z" * (n - i) for i in range(1, n + 1))
 
 
 def decompose_stabilizer_product(
@@ -267,29 +381,40 @@ def decompose_stabilizer_product(
     if vs[0] < 1 or vs[-1] > h.n:
         raise ValueError(f"subset {vs} outside 1..{h.n}")
     check = bool(validate or (validate is None and h.n <= DENSE_VALIDATE_LIMIT))
-    return _pauli_strings(*_decompose(h.n, vs, stabilizer_product_diagonal(h, vs), check))
+    ((x, z, numerators),) = _expand(h.n, _listed_chunks(h, [vs], check), check)
+    return _pauli_strings(h.n, x, z, numerators)
 
 
 def stabilizer_strings(h: Hypergraph) -> tuple[PauliString, ...]:
     """Strings of all n single stabilizers, concatenated in vertex order."""
-    return tuple(s for block in _blocks(h, ((v,) for v in h.vertices())) for s in _pauli_strings(*block))
+    validate = h.n <= DENSE_VALIDATE_LIMIT
+    singletons = [(v,) for v in h.vertices()]
+    return tuple(
+        s
+        for x, z, numerators in _expand(h.n, _listed_chunks(h, singletons, validate), validate)
+        for s in _pauli_strings(h.n, x, z, numerators)
+    )
 
 
 def projector_strings(h: Hypergraph) -> Iterator[tuple[PauliString, ...]]:
-    """Stream the expansion of every nonempty stabilizer-subset product.
+    """Expansion of every nonempty stabilizer-subset product, one block each.
 
     Together with the identity these average to 2**n times the projector
     onto the state; the identity term carries no measurement cost and is
-    not emitted.
+    not emitted. Blocks come in order of subset size, then lexicographic.
     """
-    for block in _blocks(h, _all_subsets(h.n)):
-        yield _pauli_strings(*block)
+    validate = h.n <= DENSE_VALIDATE_LIMIT
+    x, z, numerators = map(np.concatenate, zip(*_expand(h.n, _all_subset_chunks(h, validate), validate)))
+    for vs in _all_subsets(h.n):
+        label = label_of_vertices(h.n, vs)
+        block = slice(np.searchsorted(x, label), np.searchsorted(x, label, side="right"))
+        yield _pauli_strings(h.n, x[block], z[block], numerators[block])
 
 
 def canonical_settings(strings: Iterable[PauliString]) -> tuple[str, ...]:
     """Distinct identity-to-Z completions, sorted."""
-    codes = _string_codes(strings)
-    return _settings(_sorted_keys([_COMPLETED[codes]]), codes.shape[1])
+    x, z, n = _string_masks(strings)
+    return _settings(_sorted_keys([_keys(x, z, n, complete=True)], n), n)
 
 
 def greedy_min_settings(strings: Iterable[PauliString]) -> tuple[str, ...]:
@@ -299,8 +424,8 @@ def greedy_min_settings(strings: Iterable[PauliString]) -> tuple[str, ...]:
     Falls back to the canonical grouping in the rare case first-fit
     fragments worse than it.
     """
-    codes = _string_codes(strings)
-    return _first_fit(_sorted_keys([codes]), codes.shape[1])
+    x, z, n = _string_masks(strings)
+    return _first_fit(_sorted_keys([_keys(x, z, n)], n), n)
 
 
 def exact_min_settings(strings: Iterable[PauliString], *, vertex_limit: int = 4) -> tuple[str, ...]:
@@ -344,15 +469,23 @@ def witness_settings(
 ) -> tuple[str, ...]:
     """Settings needed to measure the witness, per its own decomposition."""
     h = spec.hypergraph
+    validate = h.n <= DENSE_VALIDATE_LIMIT
     if spec.kind is WitnessKind.PROJECTOR:
         if h.n > symbolic_limit:
             raise ValueError(f"projector decomposition capped at n <= {symbolic_limit}, got n={h.n}")
-        subsets: Iterable[tuple[int, ...]] = _all_subsets(h.n)
+        chunks = _all_subset_chunks(h, validate)
+    elif mode is SettingMode.CANONICAL and not validate:
+        return _stabilizer_settings(h.n)
     else:
-        subsets = ((v,) for v in h.vertices())
-    if mode is SettingMode.CANONICAL:
-        return _settings(_sorted_keys(_COMPLETED[codes] for codes, _ in _blocks(h, subsets)), h.n)
-    return _first_fit(_sorted_keys(codes for codes, _ in _blocks(h, subsets)), h.n)
+        chunks = _listed_chunks(h, [(v,) for v in h.vertices()], validate)
+    complete = mode is SettingMode.CANONICAL
+    keys = _sorted_keys((_chunk_keys(h.n, *chunk, validate, complete) for chunk in chunks), h.n)
+    if not complete:
+        return _first_fit(keys, h.n)
+    settings = _settings(keys, h.n)
+    if spec.kind is WitnessKind.STABILIZER and settings != _stabilizer_settings(h.n):
+        raise ValueError("stabilizer settings disagree with X on each vertex, Z elsewhere")
+    return settings
 
 
 def witness_setting_count(

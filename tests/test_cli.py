@@ -124,6 +124,15 @@ def test_witness_build_and_eval(capsys):
     assert doc["negative"] is False
 
 
+@pytest.mark.parametrize("p", ["abc", "inf", "nan", "1/0"])
+def test_witness_eval_rejects_unparsable_p(capsys, p):
+    code, out, err = run(
+        capsys, "witness", "eval", "--family", "single-max", "--n", "3", "--kind", "projector", "--p", p
+    )
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and "--p" in err and err.startswith("error:")
+
+
 def test_witness_table_json_and_csv(capsys):
     code, doc, _ = run_json(
         capsys, "robustness-table", "witness", "table", "--family", "single-max",

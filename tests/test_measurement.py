@@ -1,3 +1,5 @@
+import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -29,8 +31,9 @@ from hyperwit import (
     witness_settings,
 )
 from hyperwit import measurement
-from hyperwit.measurement import _CODE_OF_BYTE, _pauli_sum, dense_pauli
-from hyperwit.states import dense_stabilizer
+from hyperwit.campaign import random_connected_hypergraph
+from hyperwit.measurement import _exact_sum, _keys, dense_pauli
+from hyperwit.states import stabilizer_product_diagonal, vertices_of_label
 
 
 def test_two_qubit_decompositions():
@@ -166,42 +169,91 @@ def test_symbolic_cap_enforced():
         witness_settings(spec, SettingMode.CANONICAL, symbolic_limit=4)
 
 
+def _masks(letters):
+    """X-part and Z-part bitmasks of letter strings, qubit 1 most significant."""
+    n = len(letters[0])
+    x = np.array([sum(1 << (n - 1 - q) for q, c in enumerate(p) if c in "XY") for p in letters])
+    z = np.array([sum(1 << (n - 1 - q) for q, c in enumerate(p) if c in "YZ") for p in letters])
+    return x, z, n
+
+
+def _exact_matrix(letters, numerators):
+    """The exact builder's one block for the given strings, as complex."""
+    x, z, n = _masks(letters)
+    rows = np.zeros(len(letters), dtype=np.int64)
+    built = _exact_sum(n, rows, _keys(x, z, n), np.asarray(numerators, dtype=np.int64), 1)[0]
+    return built[..., 0] + 1j * built[..., 1]
+
+
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_scatter_builder_matches_kron_for_every_string(n):
     for letters in map("".join, product("IXYZ", repeat=n)):
-        codes = _CODE_OF_BYTE[np.frombuffer(letters.encode(), dtype=np.uint8)].reshape(1, n)
-        built = _pauli_sum(codes, np.ones(1))
+        built = _exact_matrix([letters], [1])
         assert np.array_equal(built, dense_pauli(letters)), letters
         assert np.array_equal(built, oracles.pauli_matrix(letters)), letters
 
 
 def test_scatter_builder_sums_with_coefficients():
     letters = ("XZY", "IIZ", "YYI")
-    coefficients = np.array([0.5, -0.25, 2.0])
-    codes = _CODE_OF_BYTE[np.frombuffer("".join(letters).encode(), dtype=np.uint8)].reshape(3, 3)
-    want = sum(c * oracles.pauli_matrix(p) for c, p in zip(coefficients, letters))
-    assert np.allclose(_pauli_sum(codes, coefficients), want, atol=1e-15)
+    numerators = [2, -1, 8]
+    want = sum(c * oracles.pauli_matrix(p) for c, p in zip(numerators, letters))
+    assert np.array_equal(_exact_matrix(letters, numerators), want)
 
 
-def _negate_one_weight(walsh_hadamard):
+def test_scatter_builder_keeps_blocks_apart():
+    x, z, n = _masks(("XY", "ZI", "YY"))
+    built = _exact_sum(n, np.array([0, 1, 1]), _keys(x, z, n), np.array([3, -2, 5]), 2)
+    as_complex = built[..., 0] + 1j * built[..., 1]
+    assert np.array_equal(as_complex[0], 3 * oracles.pauli_matrix("XY"))
+    assert np.array_equal(as_complex[1], -2 * oracles.pauli_matrix("ZI") + 5 * oracles.pauli_matrix("YY"))
+
+
+def _corrupt_one_weight(walsh_hadamard, change):
+    """The transform with the middle nonzero weight of the stacked output changed."""
+
     def corrupted(values):
         out = walsh_hadamard(values)
-        nonzero = np.flatnonzero(out)
-        out[nonzero[len(nonzero) // 2]] *= -1
+        flat = out.reshape(-1)
+        nonzero = np.flatnonzero(flat)
+        flat[nonzero[len(nonzero) // 2]] = change(flat[nonzero[len(nonzero) // 2]])
         return out
 
     return corrupted
 
 
-def test_dense_check_catches_a_negated_weight(monkeypatch):
-    h = build_family(Family.ALL_N_MINUS_1, 5)
-    monkeypatch.setattr(measurement, "_walsh_hadamard", _negate_one_weight(measurement._walsh_hadamard))
-    with pytest.raises(ValueError, match="dense product"):
-        decompose_stabilizer_product(h, (1, 3, 4))
+def _all_witness_settings(h):
     for spec in (projector_witness(h), stabilizer_witness(h)):
         for mode in SettingMode:
-            with pytest.raises(ValueError, match="dense product"):
-                witness_settings(spec, mode)
+            yield lambda spec=spec, mode=mode: witness_settings(spec, mode)
+
+
+def _dense_check_catches(monkeypatch, change):
+    h = build_family(Family.ALL_N_MINUS_1, 5)
+    monkeypatch.setattr(measurement, "_walsh_hadamard", _corrupt_one_weight(measurement._walsh_hadamard, change))
+    with pytest.raises(ValueError, match="dense product"):
+        decompose_stabilizer_product(h, (1, 3, 4))
+    for run in _all_witness_settings(h):
+        with pytest.raises(ValueError, match="dense product"):
+            run()
+
+
+def test_dense_check_catches_a_negated_weight(monkeypatch):
+    _dense_check_catches(monkeypatch, lambda w: -w)
+
+
+def test_dense_check_catches_a_numerator_shifted_by_one(monkeypatch):
+    # the smallest change an integer numerator can take
+    _dense_check_catches(monkeypatch, lambda w: w + 1)
+
+
+def test_dense_check_compares_imaginary_parts():
+    # K = X on one qubit: 2**1 * K is 2 X; adding 2 Y leaves every real part unchanged
+    labels, diagonals = np.array([1]), np.array([[1, 1]], dtype=np.int8)
+    measurement._check_dense(1, labels, diagonals, np.array([0]), np.array([1]), np.array([0]), np.array([2]))
+    with pytest.raises(ValueError, match="dense product"):
+        measurement._check_dense(
+            1, labels, diagonals, np.array([0, 0]), np.array([1, 1]), np.array([0, 1]), np.array([2, 2])
+        )
 
 
 def test_odd_y_rule_is_asserted(monkeypatch):
@@ -210,35 +262,39 @@ def test_odd_y_rule_is_asserted(monkeypatch):
 
     def odd_weight(values):
         out = original(values)
-        out[0b100] = 8  # the mask with Y on vertex 1 alone, for T = {1}
+        out[..., 0b100] = 8  # in the row of T = {1}, the mask with Y on vertex 1 alone
         return out
 
     monkeypatch.setattr(measurement, "_walsh_hadamard", odd_weight)
     with pytest.raises(ValueError, match="odd Y count"):
         decompose_stabilizer_product(h, (1,))
+    for run in _all_witness_settings(h):
+        with pytest.raises(ValueError, match="odd Y count"):
+            run()
+
+
+def _letter_first_fit(patterns):
+    """First-fit over letter strings, one character at a time."""
+    groups = []
+    for p in patterns:
+        for g in groups:
+            if all(c == "I" or g[i] is None or g[i] == c for i, c in enumerate(p)):
+                for i, c in enumerate(p):
+                    if c != "I":
+                        g[i] = c
+                break
+        else:
+            groups.append([c if c != "I" else None for c in p])
+    merged = sorted({"".join(c or "Z" for c in g) for g in groups})
+    canonical = sorted({p.replace("I", "Z") for p in patterns})
+    return tuple(merged if len(merged) <= len(canonical) else canonical)
 
 
 def test_greedy_matches_letter_first_fit():
-    # reference: first-fit over letter strings, one character at a time
-    def letter_first_fit(patterns):
-        groups = []
-        for p in patterns:
-            for g in groups:
-                if all(c == "I" or g[i] is None or g[i] == c for i, c in enumerate(p)):
-                    for i, c in enumerate(p):
-                        if c != "I":
-                            g[i] = c
-                    break
-            else:
-                groups.append([c if c != "I" else None for c in p])
-        merged = sorted({"".join(c or "Z" for c in g) for g in groups})
-        canonical = sorted({p.replace("I", "Z") for p in patterns})
-        return tuple(merged if len(merged) <= len(canonical) else canonical)
-
     for h in (build_family(Family.ALL_N_MINUS_1, 5), canonicalize([[1, 2, 3], [3, 4], [2, 4, 5], [1, 5]], 5)):
         for spec in (projector_witness(h), stabilizer_witness(h)):
             patterns = sorted({s.letters for s in _witness_strings(spec)})
-            assert witness_settings(spec, SettingMode.GREEDY) == letter_first_fit(patterns)
+            assert witness_settings(spec, SettingMode.GREEDY) == _letter_first_fit(patterns)
             assert witness_settings(spec, SettingMode.CANONICAL) == canonical_settings(_witness_strings(spec))
 
 
@@ -246,3 +302,112 @@ def _witness_strings(spec):
     if spec.kind is WitnessKind.PROJECTOR:
         return [s for block in projector_strings(spec.hypergraph) for s in block]
     return list(stabilizer_strings(spec.hypergraph))
+
+
+def _connected(n, seed):
+    return random_connected_hypergraph(n, random.Random(f"measurement:{n}:{seed}"))
+
+
+def _reference_settings(patterns, mode):
+    """Today's settings from letter strings: identity-to-Z completion, or letter first-fit."""
+    if mode is SettingMode.CANONICAL:
+        return tuple(sorted({p.replace("I", "Z") for p in patterns}))
+    return _letter_first_fit(sorted(set(patterns)))
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_stacked_engine_matches_one_subset_batches(n):
+    for seed in range(2 if n <= 6 else 1):
+        h = _connected(n, seed)
+        blocks = list(projector_strings(h))
+        assert blocks == [decompose_stabilizer_product(h, vs) for vs in measurement._all_subsets(n)]
+        singles = stabilizer_strings(h)
+        assert singles == tuple(s for v in h.vertices() for s in decompose_stabilizer_product(h, (v,)))
+        for spec, strings in ((projector_witness(h), [s for b in blocks for s in b]), (stabilizer_witness(h), singles)):
+            patterns = [s.letters for s in strings]
+            canonical = _reference_settings(patterns, SettingMode.CANONICAL)
+            assert witness_settings(spec, SettingMode.CANONICAL) == canonical_settings(strings) == canonical
+            # the letter-by-letter first-fit takes tens of seconds on the projector strings at n = 8
+            greedy = greedy_min_settings(strings)
+            assert witness_settings(spec, SettingMode.GREEDY) == greedy, (h, spec.kind)
+            if len(patterns) <= 2000:
+                assert greedy == _reference_settings(patterns, SettingMode.GREEDY), (h, spec.kind)
+
+
+@pytest.mark.parametrize("entries", [1, 1 << 9, 1 << 12])
+def test_chunking_does_not_change_the_expansion(monkeypatch, entries):
+    # small budgets split the subsets into many chunks, down to one subset each
+    hs = [_connected(n, 0) for n in (3, 5, 7)]
+    want = [(list(projector_strings(h)), stabilizer_strings(h)) for h in hs]
+    monkeypatch.setattr(measurement, "_CHUNK_ENTRIES", entries)
+    assert [(list(projector_strings(h)), stabilizer_strings(h)) for h in hs] == want
+
+
+@pytest.mark.parametrize("validate", [False, True])
+def test_subset_chunks_hold_every_product_diagonal(monkeypatch, validate):
+    monkeypatch.setattr(measurement, "_CHUNK_ENTRIES", 1 << 6)
+    for n in (2, 4, 6):
+        h = _connected(n, 1)
+        chunks = list(measurement._all_subset_chunks(h, validate))
+        labels = np.concatenate([c[0] for c in chunks])
+        assert labels.tolist() == list(range(1, 1 << n))
+        assert len(chunks) > 1 or n == 2
+        for label, diagonal in zip(labels.tolist(), np.concatenate([c[1] for c in chunks])):
+            vs = vertices_of_label(n, label)
+            assert np.array_equal(diagonal, stabilizer_product_diagonal(h, vs)), vs
+
+
+def test_keys_follow_letter_order_beyond_one_byte():
+    rng = random.Random(5)
+    for n in (3, 8, 9, 13):
+        letters = sorted({"".join(rng.choice("IXYZ") for _ in range(n)) for _ in range(200)})
+        x, z, _ = _masks(letters)
+        keys = _keys(x, z, n)
+        assert keys.tolist() == [int("".join(str("IXYZ".index(c)) for c in p), 4) for p in letters]
+        completed = _keys(x, z, n, complete=True)
+        assert completed.tolist() == [int("".join(str("IXYZ".index(c)) for c in p.replace("I", "Z")), 4)
+                                      for p in letters]
+
+
+@pytest.mark.parametrize("n", range(2, 10))
+def test_canonical_stabilizer_settings_from_n_alone(n):
+    for seed in range(3):
+        h = _connected(n, seed)
+        want = canonical_settings(stabilizer_strings(h))
+        assert measurement._stabilizer_settings(n) == want
+        assert witness_settings(stabilizer_witness(h)) == want
+
+
+def test_canonical_stabilizer_settings_need_no_expansion():
+    h = build_family(Family.ALL_N_MINUS_1, 22)
+    tracemalloc.start()
+    try:
+        settings_ = witness_settings(stabilizer_witness(h))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert settings_[0] == "X" + "Z" * 21 and settings_[-1] == "Z" * 21 + "X"
+    assert len(settings_) == 22
+    assert peak < 1 << 20, peak  # one 2**22-entry diagonal alone is 32 MiB
+
+
+def test_projector_settings_stay_in_bounded_memory():
+    spec = projector_witness(build_family(Family.ALL_N_MINUS_1, 10))
+    tracemalloc.start()
+    try:
+        count = witness_setting_count(spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert count == family_projector_count(10)
+    # the 29524 setting strings take about 2 MiB; the whole (subsets, 2**n) table would add 8 MiB
+    assert peak < 4 << 20, peak
+
+
+def test_key_table_and_sorted_merge_agree(monkeypatch):
+    hs = [_connected(n, 2) for n in (3, 5, 7)]
+    specs = [spec for h in hs for spec in (projector_witness(h), stabilizer_witness(h))]
+    want = [witness_settings(spec, mode) for spec in specs for mode in SettingMode]
+    monkeypatch.setattr(measurement, "_KEY_TABLE", 1)
+    monkeypatch.setattr(measurement, "_CHUNK_ENTRIES", 1 << 8)
+    assert [witness_settings(spec, mode) for spec in specs for mode in SettingMode] == want
