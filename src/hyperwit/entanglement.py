@@ -3,14 +3,17 @@
 The bipartite figure of merit across a cut is the largest squared Schmidt
 coefficient alpha_AB; the multipartite alpha maximizes it over all cuts and
 E = 1 - alpha. Closed forms cover the three built-in families. The
-certification procedure compares the (n-1|1) split against an exact
-infinity-norm bound on every deeper reduced density matrix, falling back to
-a dense eigensolve where that bound is inconclusive.
+certification procedure works on the edge list of a permutation-invariant
+state, whose reduced Grams depend only on the label weights: it compares
+the always-rational single-qubit split with the exact infinity norm of every
+deeper reduced density matrix, and builds the sign table only for a dense
+eigensolve where that bound is inconclusive.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -19,7 +22,7 @@ from typing import Sequence
 import numpy as np
 
 from .hypergraph import Bipartition, Family, Hypergraph, enumerate_bipartitions, max_cardinality, is_connected
-from .states import SignState, build_state, is_permutation_invariant
+from .states import SignState, build_state, check_qubit_count, is_permutation_invariant
 
 SPECTRAL_TOL = 1e-9
 DEFAULT_SWEEP_LIMIT = 12
@@ -73,7 +76,7 @@ class ProcedureReport:
 
     n: int
     smax_squared: float
-    smax_squared_exact: Fraction | None
+    smax_squared_exact: Fraction
     rows: tuple[ProcedureRow, ...]
     success: bool
     alpha: float
@@ -264,92 +267,74 @@ def _exact_infinity_norm(gram: np.ndarray, dim: int) -> Fraction:
     return Fraction(int(np.abs(gram).sum(axis=1).max()), dim)
 
 
-_NORM_BLOCK_ROWS = 256
+def _symmetric_layers(h: Hypergraph) -> tuple[int, ...] | None:
+    """Edge cardinalities of h if its edge set, and so its state, is
+    invariant under relabeling: a union of complete k-uniform layers, each
+    holding C(n, k) distinct edges. None otherwise."""
+    counts = Counter(len(e) for e in h.edges)
+    if any(count != math.comb(h.n, k) for k, count in counts.items()):
+        return None
+    return tuple(sorted(counts))
 
 
-def _prefix_infinity_norm(signs: np.ndarray, kept: int) -> Fraction:
-    """Exact infinity norm of the first `kept` qubits' reduced density
-    matrix of a sign table, computed without building its Gram.
-
-    Equal rows of the sign matrix give equal Gram rows, so only the distinct
-    rows are multiplied (a permutation-invariant state has at most kept + 1),
-    and each Gram column is weighted by its row's multiplicity. Every entry
-    is an integer of magnitude at most 2**(n - kept) and every row sum at
-    most 2**n <= 2**24 < 2**53, so the float64 products and sums are exact.
-    """
-    s = signs.reshape(1 << kept, -1)
-    # Equal rows are found on their packed bits, zero-padded to whole uint64
-    # words: sorting by every word makes them adjacent.
-    packed = np.packbits(s < 0, axis=1)
-    words = np.pad(packed, ((0, 0), (0, -packed.shape[1] % 8))).view(np.uint64)
-    order = np.lexsort(words.T)
-    ordered = words[order]
-    starts = np.flatnonzero(np.r_[True, (ordered[1:] != ordered[:-1]).any(axis=1)])
-    counts = np.diff(np.r_[starts, len(order)])
-    rows = 1.0 - 2.0 * np.unpackbits(packed[order[starts]], axis=1, count=s.shape[1])
-    weights = counts.astype(np.float64)
-    best = 0.0
-    for start in range(0, len(rows), _NORM_BLOCK_ROWS):
-        block = np.abs(rows[start : start + _NORM_BLOCK_ROWS] @ rows.T) @ weights
-        best = max(best, float(block.max()))
-    return Fraction(int(best), signs.size)
+def _weight_gram(n: int, layers: Sequence[int], kept: int) -> list[list[int]]:
+    """Entry [a][b] is 2**n times the rdm entry of the first `kept` qubits
+    between any labels of weights a and b, an exact integer. A label of
+    weight w has the sign f(w) = (-1)**(sum of C(w, k) over the layers), and
+    the t = n - kept traced qubits hold C(t, j) labels of weight j."""
+    f = [-1 if sum(math.comb(w, k) for k in layers) % 2 else 1 for w in range(n + 1)]
+    traced = [math.comb(n - kept, j) for j in range(n - kept + 1)]
+    return [
+        [sum(c * f[a + j] * f[b + j] for j, c in enumerate(traced)) for b in range(kept + 1)]
+        for a in range(kept + 1)
+    ]
 
 
-def _last_qubit_split(signs: np.ndarray) -> tuple[float, Fraction | None]:
-    """alpha of the (1..n-1 | n) cut from the exact 2x2 Gram of side B.
-
-    The eigenvalue is rational exactly when the discriminant is a perfect
-    square; otherwise only the float is returned.
-    """
-    dim = signs.size
-    s = signs.astype(np.int64).reshape(-1, 2)
-    g = s.T @ s
-    a, b, d = int(g[0, 0]), int(g[0, 1]), int(g[1, 1])
-    disc = (a - d) ** 2 + 4 * b * b
-    root = math.isqrt(disc)
-    value = ((a + d) + math.sqrt(disc)) / (2 * dim)
-    if root * root == disc:
-        return value, Fraction(a + d + root, 2 * dim)
-    return value, None
+def _weight_infinity_norm(n: int, layers: Sequence[int], kept: int) -> Fraction:
+    """Exact infinity norm of the first `kept` qubits' rdm of a symmetric
+    state: C(kept, b) labels share each weight-b column."""
+    gram = _weight_gram(n, layers, kept)
+    return Fraction(max(sum(math.comb(kept, b) * abs(v) for b, v in enumerate(row)) for row in gram), 1 << n)
 
 
 def procedure_alpha(h: Hypergraph, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT) -> ProcedureReport:
-    """Certify alpha for a permutation-invariant state.
+    """Certify alpha for a permutation-invariant state from its edge list.
 
-    alpha of the single-qubit split is computed exactly; for each deeper
-    cut size k the reduced Gram's infinity norm (exact rational) must not
-    exceed it. A failed norm test triggers an exact eigensolve on that
-    Gram, whose top eigenvalue then competes for alpha directly.
+    The single-qubit split's Gram is [[2**(n-1), b], [b, 2**(n-1)]], so its
+    alpha (2**(n-1) + |b|) / 2**n is rational. For each deeper cut size k
+    the exact infinity norm of the rdm, taken by label weight, must not
+    exceed it. Only a failed norm test builds the sign table: the top
+    eigenvalue of that cut's dense Gram then competes for alpha directly.
     """
-    if h.n < 2:
+    n = h.n
+    if n < 2:
         raise ValueError("need at least 2 qubits")
-    if h.n > sweep_limit:
-        raise ValueError(f"qubit count {h.n} exceeds the sweep cap {sweep_limit}")
-    state = build_state(h)
-    if not is_permutation_invariant(state):
+    if n > sweep_limit:
+        raise ValueError(f"qubit count {n} exceeds the sweep cap {sweep_limit}")
+    check_qubit_count(n)
+    layers = _symmetric_layers(h)
+    if layers is None:
         raise ValueError("state is not permutation-invariant; the single-split comparison would be unjustified")
-    signs = state.signs()
-    smax_sq, smax_exact = _last_qubit_split(signs)
+    dim = 1 << n
+    smax_exact = Fraction(dim // 2 + abs(_weight_gram(n, layers, 1)[0][1]), dim)
+    smax_sq = float(smax_exact)
     rows: list[ProcedureRow] = []
     success = True
     alpha, alpha_exact = smax_sq, smax_exact
-    for k in range(2, h.n // 2 + 1):
-        inf = _prefix_infinity_norm(signs, h.n - k)
-        if smax_exact is not None:
-            ok = inf <= smax_exact
-        else:
-            ok = float(inf) <= smax_sq + SPECTRAL_TOL
-        lam: float | None = None
-        lam_ok: bool | None = None
+    signs = None
+    for k in range(2, n // 2 + 1):
+        inf = _weight_infinity_norm(n, layers, n - k)
+        ok = inf <= smax_exact
+        lam = lam_ok = None
         if not ok:
             success = False
-            gram = _prefix_gram(signs, h.n - k)
-            lam = float(np.linalg.eigvalsh(gram.astype(np.float64))[-1]) / state.dim
+            signs = build_state(h).signs() if signs is None else signs
+            lam = float(np.linalg.eigvalsh(_prefix_gram(signs, n - k).astype(np.float64))[-1]) / dim
             lam_ok = lam <= smax_sq + SPECTRAL_TOL
             if lam > alpha:
                 alpha, alpha_exact = lam, None
         rows.append(ProcedureRow(k, inf, ok, lam, lam_ok))
-    return ProcedureReport(h.n, smax_sq, smax_exact, tuple(rows), success, alpha, alpha_exact)
+    return ProcedureReport(n, smax_sq, smax_exact, tuple(rows), success, alpha, alpha_exact)
 
 
 def closed_form_alpha(family: Family, n: int) -> Fraction | float:

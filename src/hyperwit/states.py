@@ -41,6 +41,11 @@ def vertices_of_label(n: int, x: int) -> tuple[int, ...]:
     return tuple(v for v in range(1, n + 1) if (x >> (n - v)) & 1)
 
 
+def check_qubit_count(n: int) -> None:
+    if not 1 <= n <= MAX_QUBITS:
+        raise ValueError(f"qubit count must lie in 1..{MAX_QUBITS}")
+
+
 @lru_cache(maxsize=None)
 def _full_mask(n: int) -> int:
     return (1 << (1 << n)) - 1
@@ -92,8 +97,7 @@ class SignState:
     neg: int
 
     def __post_init__(self) -> None:
-        if not 1 <= self.n <= MAX_QUBITS:
-            raise ValueError(f"qubit count must lie in 1..{MAX_QUBITS}")
+        check_qubit_count(self.n)
         if not 0 <= self.neg < (1 << (1 << self.n)):
             raise ValueError("sign bitmap out of range for the label space")
 
@@ -128,6 +132,7 @@ def plus_state(n: int) -> SignState:
 
 def build_state(h: Hypergraph) -> SignState:
     """State reached from |+..+> by applying one controlled-Z gate per edge."""
+    check_qubit_count(h.n)
     neg = 0
     for e in h.edges:
         neg ^= superset_mask(h.n, e)

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 
 import jsonschema
 import pytest
@@ -227,6 +228,25 @@ def test_memory_error_exits_2(capsys, monkeypatch):
     assert out == ""
     assert err.startswith("error: out of memory") and err.count("\n") == 1
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["state", "dump", "--family", "all-n-1", "--n", "26"],
+        ["verify", "stabilizers", "--family", "all-n-1", "--n", "26"],
+        ["entanglement", "--mode", "procedure", "--family", "all-n-1", "--n", "30", "--cap-sweep", "30"],
+    ],
+)
+def test_more_than_24_qubits_exit_2_before_allocating(capsys, argv):
+    tracemalloc.start()
+    try:
+        code, out, err = run(capsys, *argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, out, err) == (2, "", "error: qubit count must lie in 1..24\n")
+    assert peak < 1 << 20, peak
 
 
 def test_cap_flags_enforced(capsys):

@@ -3,6 +3,7 @@ import math
 import random
 import tracemalloc
 from fractions import Fraction
+from itertools import combinations
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from conftest import hypergraphs
 from hyperwit import (
     Bipartition,
     Family,
+    Hypergraph,
     SignState,
     alpha_bipartite,
     alpha_multipartite,
@@ -24,6 +26,7 @@ from hyperwit import (
     closed_form_alpha,
     enumerate_bipartitions,
     infinity_norm,
+    is_permutation_invariant,
     lower_bound_check,
     permute_vertices,
     procedure_alpha,
@@ -32,7 +35,13 @@ from hyperwit import (
     schmidt,
 )
 from hyperwit.cli import main
-from hyperwit.entanglement import _exact_infinity_norm, _prefix_gram, _prefix_infinity_norm
+from hyperwit.entanglement import (
+    _exact_infinity_norm,
+    _prefix_gram,
+    _symmetric_layers,
+    _weight_gram,
+    _weight_infinity_norm,
+)
 
 GOLDEN_RATIO_ALPHA = (3 + math.sqrt(5)) / 8
 
@@ -164,7 +173,7 @@ def test_sweep_at_n12_gathers_in_small_batches():
     assert peak < 4 << 20, peak
 
 
-def test_procedure_unpacks_the_sign_table_once(monkeypatch):
+def test_procedure_unpacks_the_sign_table_only_for_a_fallback(monkeypatch):
     calls = []
     unpack = SignState.signs
 
@@ -173,9 +182,11 @@ def test_procedure_unpacks_the_sign_table_once(monkeypatch):
         return unpack(self)
 
     monkeypatch.setattr(SignState, "signs", counted)
-    procedure_alpha(build_family(Family.ALL_N_MINUS_1, 12))
-    # one for the procedure, one for is_permutation_invariant
-    assert len(calls) == 2
+    assert procedure_alpha(build_family(Family.ALL_N_MINUS_1, 12)).success
+    assert calls == []
+    # n = 4 fails its one norm row and takes the dense eigensolve
+    assert not procedure_alpha(build_family(Family.ALL_N_MINUS_1, 4)).success
+    assert calls == [4]
 
 
 def test_procedure_exception_case_even_4():
@@ -215,48 +226,41 @@ def test_procedure_rejects_asymmetric_input():
         procedure_alpha(canonicalize([[1, 2], [2, 3]], 3))
 
 
-def test_prefix_infinity_norm_matches_gram_families():
-    for fam in Family:
-        for n in range(3, 13):
-            s = build_state(build_family(fam, n))
+def _layer_unions(n):
+    for mask in range(1 << n):
+        layers = tuple(k for k in range(1, n + 1) if mask >> (k - 1) & 1)
+        yield layers, Hypergraph(n, tuple(sorted(e for k in layers for e in combinations(range(1, n + 1), k))))
+
+
+@given(hypergraphs(min_n=1, max_n=6))
+def test_symmetric_layers_match_permutation_invariance_random(h):
+    assert (_symmetric_layers(h) is not None) == is_permutation_invariant(build_state(h))
+
+
+def test_symmetric_layers_match_permutation_invariance_layer_unions():
+    for n in range(2, 8):
+        for layers, h in _layer_unions(n):
+            assert _symmetric_layers(h) == layers
+            assert is_permutation_invariant(build_state(h))
+            for extra in ([1], list(range(1, n))):  # breaks a layer unless n == 2
+                broken = canonicalize(list(h.edges) + [extra], n)
+                assert (_symmetric_layers(broken) is not None) == is_permutation_invariant(build_state(broken)), (n, layers)
+
+
+def test_weight_gram_equals_dense_gram_on_every_layer_union():
+    # Label 2**w - 1 has weight w, so those labels index the weight Gram
+    # inside the dense one (at kept = 1 all of the single-qubit split); the
+    # norm then checks the weight multiplicities.
+    for n in range(2, 11):
+        for layers, h in _layer_unions(n):
+            signs = build_state(h).signs()
             for kept in range(1, n):
-                assert _prefix_infinity_norm(s.signs(), kept) == _exact_infinity_norm(_prefix_gram(s.signs(), kept), s.dim), (fam, n, kept)
-
-
-@given(hypergraphs(min_n=2, max_n=8), st.data())
-def test_prefix_infinity_norm_matches_gram_random(h, data):
-    s = build_state(h)
-    kept = data.draw(st.integers(1, h.n - 1))
-    assert _prefix_infinity_norm(s.signs(), kept) == _exact_infinity_norm(_prefix_gram(s.signs(), kept), s.dim)
-
-
-def test_prefix_infinity_norm_spans_row_blocks():
-    # A random table over 9 | 4 qubits has more distinct rows than one
-    # multiplication block. Every fourth row is all-negative: that row has
-    # the largest sum and, packed as 0xffff, sorts into the last block.
-    neg = random.Random(11).getrandbits(1 << 13)
-    for r in range(0, 1 << 9, 4):
-        neg |= 0xFFFF << (16 * r)
-    s = SignState(13, neg)
-    assert len(np.unique(s.signs().reshape(1 << 9, -1), axis=0)) > 256
-    assert _prefix_infinity_norm(s.signs(), 9) == _exact_infinity_norm(_prefix_gram(s.signs(), 9), s.dim)
-
-
-@pytest.mark.parametrize("n, kept", [(12, 3), (13, 9)])  # rows of 512 bits (eight words) and of 16
-def test_prefix_infinity_norm_counts_repeated_rows(n, kept):
-    # Every row is one of six patterns: three random ones and the same three
-    # with the last column flipped, so some distinct rows agree on every
-    # packed word but the last.
-    rng = random.Random(n)
-    cols = 1 << (n - kept)
-    patterns = [rng.getrandbits(cols) for _ in range(3)]
-    patterns += [p ^ (1 << (cols - 1)) for p in patterns]
-    rows = [patterns[r % 6] for r in range(1 << kept)]
-    rng.shuffle(rows)
-    neg = sum(row << (cols * r) for r, row in enumerate(rows))
-    s = SignState(n, neg)
-    assert len(np.unique(s.signs().reshape(1 << kept, -1), axis=0)) == 6
-    assert _prefix_infinity_norm(s.signs(), kept) == _exact_infinity_norm(_prefix_gram(s.signs(), kept), s.dim)
+                dense = _prefix_gram(signs, kept)
+                reps = [(1 << w) - 1 for w in range(kept + 1)]
+                assert dense[np.ix_(reps, reps)].tolist() == _weight_gram(n, layers, kept), (n, layers, kept)
+                assert _weight_infinity_norm(n, layers, kept) == _exact_infinity_norm(dense, 1 << n), (n, layers, kept)
+            # the single-qubit split (kept = 1) has both diagonal entries 2**(n-1)
+            assert _weight_gram(n, layers, 1)[0][0] == 1 << (n - 1)
 
 
 def test_procedure_at_n16_stays_small():

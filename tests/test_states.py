@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from fractions import Fraction
 from itertools import combinations, permutations
 
@@ -245,6 +246,19 @@ def test_permutation_invariance_of_complete_layers():
             assert is_permutation_invariant(build_state(h)), (n, layers)
             extra = sorted(rng.sample(range(1, n + 1), rng.randint(1, n - 1)))
             assert not is_permutation_invariant(build_state(canonicalize(edges + [extra], n))), (n, layers, extra)
+
+
+def test_build_state_refuses_too_many_qubits_before_allocating():
+    # one 2**25-bit mask alone would take 4 MiB
+    h = build_family(Family.ALL_N_MINUS_1, 25)
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^qubit count must lie in 1\.\.24$"):
+            build_state(h)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
 
 
 def test_hex_round_trip():

@@ -13,6 +13,7 @@ from hyperwit import (
     biseparable_audit,
     build_family,
     canonicalize,
+    closed_form_alpha,
     default_alpha,
     dense_expectation,
     expectation,
@@ -87,6 +88,27 @@ def test_expectation_sign_change_at_threshold(n):
         assert expectation(spec, NoisyState(h, thr)) == 0
         assert expectation(spec, NoisyState(h, thr - eps)) < 0
         assert expectation(spec, NoisyState(h, thr + eps)) > 0
+
+
+def test_expectation_crosses_zero_at_closed_form_thresholds():
+    # Witnesses built with the closed-form alpha that robustness_table uses.
+    # all-n-1 at n = 4 has the irrational alpha (3 + sqrt 5)/8 and no exact
+    # threshold to cross.
+    eps = Fraction(1, 10**9)
+    skipped = []
+    for fam in Family:
+        for row in robustness_table(fam, range(3, 9)):
+            alpha = closed_form_alpha(fam, row.n)
+            if not isinstance(alpha, Fraction):
+                skipped.append((fam, row.n))
+                continue
+            h = build_family(fam, row.n)
+            for spec, thr in ((projector_witness(h, alpha), row.projector), (stabilizer_witness(h, alpha), row.stabilizer)):
+                assert spec.robustness == thr
+                assert expectation(spec, NoisyState(h, thr)) == 0, (fam, row.n, spec.kind)
+                assert expectation(spec, NoisyState(h, thr - eps)) < 0, (fam, row.n, spec.kind)
+                assert expectation(spec, NoisyState(h, thr + eps)) > 0, (fam, row.n, spec.kind)
+    assert skipped == [(Family.ALL_N_MINUS_1, 4)]
 
 
 def test_expectation_on_mismatched_state():
