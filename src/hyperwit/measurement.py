@@ -9,11 +9,12 @@ is hermiticity appearing on its own; it is asserted, not assumed.
 
 The engine is stacked. Subsets are rows of a (subsets, 2**n) array, each
 known by its label mask T, and one row-wise int64 transform covers a chunk
-of them. The diagonals of all subsets come from one recursion that prepends
-vertices n..1, one gather per vertex: d_{{v} | T}(x) = D_v(x ^ T) * d_T(x)
-for T above v. Chunks of subsets hold a bounded number of entries; a chunk
-of subsets sharing their high vertices H is the one gather
-d_H(x ^ T) * d_T(x).
+of them. Each K_v equals U X_v U with U = diag(s), s the state's sign
+table, so every product is X_T times d_T(x) = s(x ^ T) * s(x), in any
+order: a chunk of subsets, holding a bounded number of entries, is one
+gather on s. For n <= DENSE_VALIDATE_LIMIT the single-vertex rows of that
+gather are compared with the edge-built vertex diagonals first; every
+product follows from them.
 
 A string is a pair of bitmasks, X-part x and Z-part z (the transform mask).
 Its base-4 key spread(x ^ z) | spread(z) << 1, with spread moving bit i to
@@ -44,12 +45,12 @@ from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from itertools import combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .states import label_of_vertices, stabilizer_diagonal, stabilizer_product_diagonal, vertices_of_label
+from .states import build_state, label_of_vertices, stabilizer_diagonal
 from .witness import WitnessKind, WitnessSpec
 
 DENSE_VALIDATE_LIMIT = 6
@@ -223,11 +224,10 @@ def _chunk_strings(n: int, labels: np.ndarray, diagonals: np.ndarray, validate: 
     return x, z, numerators
 
 
-def _expand(n: int, chunks: Iterable[tuple[np.ndarray, np.ndarray]], validate: bool
-            ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(x, z, numerators) of each chunk of (labels, diagonals) subset rows."""
-    for labels, diagonals in chunks:
-        yield _chunk_strings(n, labels, diagonals, validate, signed=True)
+def _expand(h: Hypergraph, labels: np.ndarray, validate: bool) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """(x, z, numerators) of each chunk of the given subsets."""
+    for chunk in _chunks(h, labels, validate):
+        yield _chunk_strings(h.n, *chunk, validate, signed=True)
 
 
 def _chunk_keys(n: int, labels: np.ndarray, diagonals: np.ndarray, validate: bool, complete: bool) -> np.ndarray:
@@ -241,50 +241,32 @@ def _chunk_rows(n: int, validate: bool) -> int:
     return max(1, _CHUNK_ENTRIES >> (2 * n if validate else n))
 
 
-def _product_table(diagonals: np.ndarray, last: int) -> np.ndarray:
-    """d_T of every T within {n - last + 1..n}, row t holding the T labelled t.
+def _singletons(n: int) -> np.ndarray:
+    """Labels of the single-vertex subsets, vertex 1 first."""
+    return 1 << _shifts(n)
 
-    Prepends vertices n..n-last+1, one gather each; +-1 entries as int8.
+
+def _chunks(h: Hypergraph, labels: np.ndarray, validate: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """(labels, diagonals) of the given subsets, _chunk_rows rows at a time.
+
+    Row T is the gather s(x ^ T) * s(x) on the state's sign table s. When
+    validating, the n single-vertex rows must equal the edge-built vertex
+    diagonals, which ties every product to the edge list.
     """
-    n, dim = diagonals.shape
-    xs = np.arange(dim)
-    table = np.ones((1 << last, dim), dtype=np.int8)
-    for j, v in enumerate(range(n, n - last, -1)):
-        size = 1 << j
-        np.multiply(diagonals[v - 1][xs ^ np.arange(size)[:, None]], table[:size], out=table[size : 2 * size])
-    return table
+    signs = build_state(h).signs()
+    xs = np.arange(1 << h.n)
 
+    def products(part: np.ndarray) -> np.ndarray:
+        return signs[part[:, None] ^ xs] * signs
 
-def _all_subset_chunks(h: Hypergraph, validate: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(labels, diagonals) of every nonempty subset, in label order.
-
-    A chunk holds the subsets with one choice H of high vertices 1..n-low,
-    each H | T the gather d_H(x ^ T) * d_T(x) over the low table; x ^ T
-    moves only the low bits, so the gather is a permutation within each
-    block of 2**low entries.
-    """
-    n = h.n
-    low = min(n, _chunk_rows(n, validate).bit_length() - 1)
-    diagonals = np.stack([stabilizer_diagonal(h, v) for v in h.vertices()]).astype(np.int8)
-    lows = _product_table(diagonals, low)
-    tails = np.arange(1 << low)
-    if low:
-        yield tails[1:], lows[1:]
-    within = tails ^ tails[:, None]
-    for high in range(1, 1 << (n - low)):
-        head = stabilizer_product_diagonal(h, vertices_of_label(n, high << low), diagonals).astype(np.int8)
-        shifted = head.reshape(-1, 1 << low)[:, within].transpose(1, 0, 2).reshape(lows.shape)
-        yield (high << low) | tails, shifted * lows
-
-
-def _listed_chunks(h: Hypergraph, subsets: Sequence[tuple[int, ...]], validate: bool
-                   ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(labels, diagonals) of the given subsets, in the given order."""
+    if validate:
+        vertex_diagonals = np.stack([stabilizer_diagonal(h, v) for v in h.vertices()])
+        if not np.array_equal(products(_singletons(h.n)), vertex_diagonals):
+            raise ValueError("sign table disagrees with the edge-built vertex stabilizers")
     step = _chunk_rows(h.n, validate)
-    for start in range(0, len(subsets), step):
-        part = subsets[start : start + step]
-        labels = np.array([label_of_vertices(h.n, vs) for vs in part], dtype=np.int64)
-        yield labels, np.stack([stabilizer_product_diagonal(h, vs) for vs in part])
+    for start in range(0, labels.size, step):
+        part = labels[start : start + step]
+        yield part, products(part)
 
 
 def _all_subsets(n: int) -> Iterator[tuple[int, ...]]:
@@ -319,21 +301,18 @@ def _string_masks(strings: Iterable[PauliString]) -> tuple[np.ndarray, np.ndarra
 
 
 def _sorted_keys(blocks: Iterable[np.ndarray], n: int) -> np.ndarray:
-    """Distinct keys of the blocks, sorted; memory holds one block and the result.
+    """Distinct keys of the blocks, sorted.
 
     Keys below 4**n <= _KEY_TABLE are marked in a table of all keys, which
-    needs no sort; larger spaces are merged block by block with a sort.
+    needs no sort; in larger spaces each block is sorted and deduplicated,
+    and the concatenation of those distinct keys is sorted once.
     """
     if 4**n <= _KEY_TABLE:
         seen = np.zeros(4**n, dtype=bool)
         for block in blocks:
             seen[block] = True
         return np.flatnonzero(seen)
-    keys = np.zeros(0, dtype=np.int64)
-    for block in blocks:
-        keys = np.sort(np.concatenate((keys, block)))
-        keys = keys[np.flatnonzero(np.diff(keys, prepend=-1))]
-    return keys
+    return np.unique(np.concatenate([np.unique(block) for block in blocks]))
 
 
 def _settings(keys: np.ndarray, n: int) -> tuple[str, ...]:
@@ -381,17 +360,16 @@ def decompose_stabilizer_product(
     if vs[0] < 1 or vs[-1] > h.n:
         raise ValueError(f"subset {vs} outside 1..{h.n}")
     check = bool(validate or (validate is None and h.n <= DENSE_VALIDATE_LIMIT))
-    ((x, z, numerators),) = _expand(h.n, _listed_chunks(h, [vs], check), check)
+    ((x, z, numerators),) = _expand(h, np.array([label_of_vertices(h.n, vs)]), check)
     return _pauli_strings(h.n, x, z, numerators)
 
 
 def stabilizer_strings(h: Hypergraph) -> tuple[PauliString, ...]:
     """Strings of all n single stabilizers, concatenated in vertex order."""
     validate = h.n <= DENSE_VALIDATE_LIMIT
-    singletons = [(v,) for v in h.vertices()]
     return tuple(
         s
-        for x, z, numerators in _expand(h.n, _listed_chunks(h, singletons, validate), validate)
+        for x, z, numerators in _expand(h, _singletons(h.n), validate)
         for s in _pauli_strings(h.n, x, z, numerators)
     )
 
@@ -404,7 +382,7 @@ def projector_strings(h: Hypergraph) -> Iterator[tuple[PauliString, ...]]:
     not emitted. Blocks come in order of subset size, then lexicographic.
     """
     validate = h.n <= DENSE_VALIDATE_LIMIT
-    x, z, numerators = map(np.concatenate, zip(*_expand(h.n, _all_subset_chunks(h, validate), validate)))
+    x, z, numerators = map(np.concatenate, zip(*_expand(h, np.arange(1, 1 << h.n), validate)))
     for vs in _all_subsets(h.n):
         label = label_of_vertices(h.n, vs)
         block = slice(np.searchsorted(x, label), np.searchsorted(x, label, side="right"))
@@ -470,20 +448,18 @@ def witness_settings(
     """Settings needed to measure the witness, per its own decomposition."""
     h = spec.hypergraph
     validate = h.n <= DENSE_VALIDATE_LIMIT
-    if spec.kind is WitnessKind.PROJECTOR:
-        if h.n > symbolic_limit:
-            raise ValueError(f"projector decomposition capped at n <= {symbolic_limit}, got n={h.n}")
-        chunks = _all_subset_chunks(h, validate)
-    elif mode is SettingMode.CANONICAL and not validate:
-        return _stabilizer_settings(h.n)
-    else:
-        chunks = _listed_chunks(h, [(v,) for v in h.vertices()], validate)
+    stabilizer = spec.kind is WitnessKind.STABILIZER
     complete = mode is SettingMode.CANONICAL
-    keys = _sorted_keys((_chunk_keys(h.n, *chunk, validate, complete) for chunk in chunks), h.n)
+    if not (stabilizer and complete) and h.n > symbolic_limit:
+        raise ValueError(f"{spec.kind.value} decomposition capped at n <= {symbolic_limit}, got n={h.n}")
+    if stabilizer and complete and not validate:
+        return _stabilizer_settings(h.n)
+    labels = _singletons(h.n) if stabilizer else np.arange(1, 1 << h.n)
+    keys = _sorted_keys((_chunk_keys(h.n, *chunk, validate, complete) for chunk in _chunks(h, labels, validate)), h.n)
     if not complete:
         return _first_fit(keys, h.n)
     settings = _settings(keys, h.n)
-    if spec.kind is WitnessKind.STABILIZER and settings != _stabilizer_settings(h.n):
+    if stabilizer and settings != _stabilizer_settings(h.n):
         raise ValueError("stabilizer settings disagree with X on each vertex, Z elsewhere")
     return settings
 

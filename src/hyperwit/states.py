@@ -164,6 +164,17 @@ def apply_z(state: SignState, vertex: int) -> SignState:
     return SignState(state.n, state.neg ^ _bit_pattern(state.n, label_bit(state.n, vertex)))
 
 
+def _link_mask(h: Hypergraph, vertex: int) -> int:
+    """Packed sign flips of the vertex stabilizer's controlled-Z part: the XOR
+    of superset_mask over the residuals of the edges through the vertex. An
+    empty residual, from a single-vertex edge, flips every label."""
+    mask = 0
+    for e in h.edges:
+        if vertex in e:
+            mask ^= superset_mask(h.n, tuple(v for v in e if v != vertex))
+    return mask
+
+
 def apply_stabilizer(state: SignState, h: Hypergraph, vertex: int) -> SignState:
     """Apply the vertex's stabilizer: X on the vertex and, for every edge
     containing it, a controlled-Z on the residual edge.
@@ -175,16 +186,7 @@ def apply_stabilizer(state: SignState, h: Hypergraph, vertex: int) -> SignState:
         raise ValueError(f"vertex {vertex} outside 1..{h.n}")
     if state.n != h.n:
         raise ValueError("state and hypergraph disagree on qubit count")
-    neg = state.neg
-    for e in h.edges:
-        if vertex not in e:
-            continue
-        residual = tuple(v for v in e if v != vertex)
-        if residual:
-            neg ^= superset_mask(h.n, residual)
-        else:
-            neg ^= _full_mask(h.n)
-    return apply_x(SignState(h.n, neg), vertex)
+    return apply_x(SignState(h.n, state.neg ^ _link_mask(h, vertex)), vertex)
 
 
 def _parse_label(n: int, s: int | str | Sequence[int]) -> int:
@@ -258,30 +260,15 @@ def stabilizer_diagonal(h: Hypergraph, vertex: int) -> np.ndarray:
     """Dense +-1 diagonal of the vertex stabilizer's controlled-Z part."""
     if not 1 <= vertex <= h.n:
         raise ValueError(f"vertex {vertex} outside 1..{h.n}")
-    dim = 1 << h.n
-    xs = np.arange(dim)
-    d = np.ones(dim, dtype=np.int64)
-    for e in h.edges:
-        if vertex not in e:
-            continue
-        residual = [v for v in e if v != vertex]
-        if not residual:
-            d = -d
-        else:
-            m = label_of_vertices(h.n, residual)
-            d[(xs & m) == m] *= -1
-    return d
+    return SignState(h.n, _link_mask(h, vertex)).signs().astype(np.int64)
 
 
-def stabilizer_product_diagonal(
-    h: Hypergraph, subset: Iterable[int], diagonals: np.ndarray | None = None
-) -> np.ndarray:
+def stabilizer_product_diagonal(h: Hypergraph, subset: Iterable[int]) -> np.ndarray:
     """Diagonal factor of the ordered product of the subset's stabilizers.
 
     The product equals (X on every subset vertex) times this diagonal; the
     X parts commute past each diagonal by permuting its argument, which is
-    what the running suffix mask accounts for. A caller taking many products
-    passes the vertex diagonals once, row v-1 for vertex v.
+    what the running suffix mask accounts for.
     """
     vs = sorted(set(subset))
     if not vs:
@@ -291,8 +278,7 @@ def stabilizer_product_diagonal(
     d = np.ones(dim, dtype=np.int64)
     suffix = 0
     for v in reversed(vs):
-        vertex_diagonal = stabilizer_diagonal(h, v) if diagonals is None else diagonals[v - 1]
-        d = d * vertex_diagonal[xs ^ suffix]
+        d = d * stabilizer_diagonal(h, v)[xs ^ suffix]
         suffix |= 1 << label_bit(h.n, v)
     return d
 

@@ -257,6 +257,14 @@ def test_cap_flags_enforced(capsys):
     assert code == 2 and "error:" in err
 
 
+def test_greedy_stabilizer_settings_capped_by_cap_symbolic(capsys):
+    argv = ["settings", "count", "--family", "all-n-1", "--n", "11", "--kind", "stabilizer", "--mode", "greedy"]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", "error: stabilizer decomposition capped at n <= 10, got n=11\n")
+    code, doc, _ = run_json(capsys, "settings", *argv, "--cap-symbolic", "11")
+    assert code == 0 and doc["count"] == 11
+
+
 def test_unknown_family_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["state", "build", "--family", "mystery", "--n", "3"])

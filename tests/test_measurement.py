@@ -33,7 +33,7 @@ from hyperwit import (
 from hyperwit import measurement
 from hyperwit.campaign import random_connected_hypergraph
 from hyperwit.measurement import _exact_sum, _keys, dense_pauli
-from hyperwit.states import stabilizer_product_diagonal, vertices_of_label
+from hyperwit.states import SignState, build_state, stabilizer_product_diagonal, vertices_of_label
 
 
 def test_two_qubit_decompositions():
@@ -167,6 +167,10 @@ def test_symbolic_cap_enforced():
     spec = projector_witness(h)
     with pytest.raises(ValueError):
         witness_settings(spec, SettingMode.CANONICAL, symbolic_limit=4)
+    with pytest.raises(ValueError, match="stabilizer decomposition capped at n <= 4, got n=5"):
+        witness_settings(stabilizer_witness(h), SettingMode.GREEDY, symbolic_limit=4)
+    # canonical stabilizer settings come from n alone and are not capped
+    assert len(witness_settings(stabilizer_witness(h), SettingMode.CANONICAL, symbolic_limit=4)) == 5
 
 
 def _masks(letters):
@@ -346,15 +350,27 @@ def test_chunking_does_not_change_the_expansion(monkeypatch, entries):
 @pytest.mark.parametrize("validate", [False, True])
 def test_subset_chunks_hold_every_product_diagonal(monkeypatch, validate):
     monkeypatch.setattr(measurement, "_CHUNK_ENTRIES", 1 << 6)
-    for n in (2, 4, 6):
-        h = _connected(n, 1)
-        chunks = list(measurement._all_subset_chunks(h, validate))
+    # the edge {2} gives K_2 a global -1
+    hs = [_connected(n, 1) for n in range(2, 9)] + [canonicalize([[2], [1, 2, 3], [3, 4]], 4)]
+    for h in hs:
+        n = h.n
+        chunks = list(measurement._chunks(h, np.arange(1, 1 << n), validate))
+        assert len(chunks) == -(-((1 << n) - 1) // measurement._chunk_rows(n, validate))
         labels = np.concatenate([c[0] for c in chunks])
         assert labels.tolist() == list(range(1, 1 << n))
-        assert len(chunks) > 1 or n == 2
         for label, diagonal in zip(labels.tolist(), np.concatenate([c[1] for c in chunks])):
             vs = vertices_of_label(n, label)
-            assert np.array_equal(diagonal, stabilizer_product_diagonal(h, vs)), vs
+            assert np.array_equal(diagonal, stabilizer_product_diagonal(h, vs)), (h, vs)
+
+
+@pytest.mark.parametrize("mode", list(SettingMode))
+@pytest.mark.parametrize("witness", [projector_witness, stabilizer_witness])
+def test_singleton_check_catches_a_corrupted_sign_table(monkeypatch, witness, mode):
+    h = _connected(5, 0)
+    neg = build_state(h).neg ^ (1 << 11)
+    monkeypatch.setattr(measurement, "build_state", lambda g: SignState(g.n, neg))
+    with pytest.raises(ValueError, match="sign table disagrees"):
+        witness_settings(witness(h), mode)
 
 
 def test_keys_follow_letter_order_beyond_one_byte():
