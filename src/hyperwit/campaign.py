@@ -6,7 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .entanglement import lower_bound_check
+from .entanglement import DEFAULT_SWEEP_LIMIT, lower_bound_check
 from .hypergraph import Hypergraph, canonicalize, enumerate_bipartitions, is_connected
 from .locc import reduce as locc_reduce
 
@@ -67,10 +67,18 @@ def random_connected_hypergraph(n: int, rng: random.Random, *, max_tries: int = 
     raise RuntimeError(f"no connected sample found in {max_tries} tries at n={n}")
 
 
+def _check_sizes(count: int, max_n: int) -> None:
+    if count < 1:
+        raise ValueError(f"count must be at least 1, got {count}")
+    if max_n < 2:
+        raise ValueError(f"max_n must be at least 2, got {max_n}")
+
+
 def lower_bound_campaign(
-    count: int = 200, max_n: int = 8, seed: int = 2024, *, sweep_limit: int = 12
+    count: int = 200, max_n: int = 8, seed: int = 2024, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT
 ) -> CampaignReport:
     """Check E >= 1/2**(k_max-1) on seeded random connected hypergraphs."""
+    _check_sizes(count, max_n)
     rng = random.Random(seed)
     rows = []
     for index in range(count):
@@ -86,6 +94,7 @@ def reduction_audit(count: int = 100, max_n: int = 7, seed: int = 2024) -> Reduc
     Each certificate is oracle-validated internally; the row records the
     smallest margin entanglement - bound seen across cuts.
     """
+    _check_sizes(count, max_n)
     rng = random.Random(seed)
     rows = []
     for index in range(count):

@@ -6,14 +6,13 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .campaign import lower_bound_campaign
+from .campaign import lower_bound_campaign, reduction_audit
 from .entanglement import (
+    DEFAULT_SWEEP_LIMIT,
     alpha_multipartite,
     closed_form_alpha,
     procedure_alpha,
@@ -23,11 +22,11 @@ from .hypergraph import (
     Family,
     Hypergraph,
     build_family,
-    canonicalize,
+    edges_from_json,
     format_hypergraph,
 )
 from .locc import LoccReductionError, LoccValidationError, reduce as locc_reduce
-from .measurement import SettingMode, witness_settings
+from .measurement import SYMBOLIC_LIMIT, SettingMode, witness_settings
 from .serialize import Number, dumps, exact_json, hypergraph_json
 from .states import apply_stabilizer, basis_state, build_state, overlap, projector_identity_check
 from .witness import (
@@ -42,78 +41,59 @@ from .witness import (
 )
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    seed: int
-    cap_sweep: int
-    cap_dense: int
-    cap_symbolic: int
-    out: str | None
-    fmt: str
-
-
-def _common_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--seed", type=int, default=2024)
-    p.add_argument("--out", default=None)
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--cap-sweep", type=int, default=12, help="largest n for bipartition sweeps")
-    p.add_argument("--cap-dense", type=int, default=8, help="largest n for dense matrix checks")
-    p.add_argument("--cap-symbolic", type=int, default=10, help="largest n for symbolic decompositions")
-    return p
-
-
-def _instance_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(add_help=False)
-    p.add_argument("--family", choices=[f.cli_name for f in Family], default=None)
-    p.add_argument("--edges", default=None, help='JSON edge list, e.g. "[[1,2],[2,3]]"')
-    p.add_argument("--n", type=int, default=None)
-    return p
-
-
 @lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: parsing never mutates it."""
-    common = _common_parser()
-    instance = _instance_parser()
+    """The CLI parser, built once per process: parsing never mutates it.
+    Each subcommand takes only the flags its handler reads."""
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    instance = argparse.ArgumentParser(add_help=False)
+    source = instance.add_mutually_exclusive_group()
+    source.add_argument("--family", choices=[f.cli_name for f in Family], default=None)
+    source.add_argument("--edges", default=None, help='JSON edge list, e.g. "[[1,2],[2,3]]"')
+    instance.add_argument("--n", type=int, default=None)
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--cap-sweep", type=int, default=DEFAULT_SWEEP_LIMIT,
+                       help="largest n for bipartition sweeps")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["json", "csv"], default="json")
     root = argparse.ArgumentParser(prog="hyperwit", description=__doc__)
     sub = root.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("state", parents=[common, instance], help="build or dump a state")
+    p = sub.add_parser("state", parents=[out, instance], help="build or dump a state")
     p.add_argument("action", choices=["build", "dump"])
 
-    p = sub.add_parser("verify", parents=[common, instance], help="exact structural checks")
+    p = sub.add_parser("verify", parents=[out, instance, sweep], help="exact structural checks")
     p.add_argument("action", choices=["stabilizers", "basis", "projector"])
+    p.add_argument("--cap-dense", type=int, default=8, help="largest n for dense matrix checks")
 
-    p = sub.add_parser("entanglement", parents=[common, instance], help="geometric entanglement")
+    p = sub.add_parser("entanglement", parents=[out, instance, sweep, fmt], help="geometric entanglement")
     p.add_argument("--mode", choices=["brute", "procedure", "closed-form"], default="brute")
     p.add_argument("--cross-check", action="store_true", help="compare every applicable route")
 
-    p = sub.add_parser("reduce", parents=[common, instance], help="reduction certificate for one cut")
+    p = sub.add_parser("reduce", parents=[out, instance], help="reduction certificate for one cut")
     p.add_argument("--partA", required=True, help="comma-separated vertices of side A")
 
-    p = sub.add_parser("witness", parents=[common, instance], help="witness construction and evaluation")
+    p = sub.add_parser("witness", parents=[out, instance, sweep, fmt], help="witness construction and evaluation")
     p.add_argument("action", choices=["build", "eval", "table"])
     p.add_argument("--kind", choices=["projector", "stabilizer"], default="projector")
     p.add_argument("--alpha-mode", choices=["generic", "closed-form", "brute"], default="generic")
     p.add_argument("--p", default=None, help="white-noise fraction (eval)")
     p.add_argument("--n-range", default=None, help='table range, e.g. "2..8"')
 
-    p = sub.add_parser("settings", parents=[common, instance], help="local measurement settings")
+    p = sub.add_parser("settings", parents=[out, instance], help="local measurement settings")
     p.add_argument("action", choices=["count", "list"])
     p.add_argument("--kind", choices=["projector", "stabilizer"], default="projector")
     p.add_argument("--mode", choices=["canonical", "greedy"], default="canonical")
+    p.add_argument("--cap-symbolic", type=int, default=SYMBOLIC_LIMIT,
+                   help="largest n for symbolic decompositions")
 
-    p = sub.add_parser("campaign", parents=[common], help="randomized audits")
-    p.add_argument("action", choices=["lower-bound"])
-    p.add_argument("--count", type=int, default=200)
-    p.add_argument("--max-n", type=int, default=8)
+    p = sub.add_parser("campaign", parents=[out, sweep], help="randomized audits")
+    p.add_argument("action", choices=["lower-bound", "reduction-audit"])
+    for flag in ("--count", "--max-n", "--seed"):
+        p.add_argument(flag, type=int, default=None, help="default: the audit function's")
 
     return root
-
-
-def _config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(args.seed, args.cap_sweep, args.cap_dense, args.cap_symbolic, args.out, args.format)
 
 
 def _resolve_hypergraph(args: argparse.Namespace) -> Hypergraph:
@@ -122,10 +102,7 @@ def _resolve_hypergraph(args: argparse.Namespace) -> Hypergraph:
     if args.family is not None:
         return build_family(Family.from_cli(args.family), args.n)
     if args.edges is not None:
-        raw = json.loads(args.edges)
-        if not isinstance(raw, list) or not all(isinstance(e, list) for e in raw):
-            raise ValueError("--edges must be a JSON list of vertex lists")
-        return canonicalize(raw, args.n)
+        return edges_from_json(args.edges, args.n)
     raise ValueError("give either --family or --edges")
 
 
@@ -136,12 +113,15 @@ def _parse_range(text: str) -> list[int]:
     return [int(text)]
 
 
-def _emit(cfg: RunConfig, payload: str) -> None:
-    if cfg.out:
-        with open(cfg.out, "w", newline="") as fh:
-            fh.write(payload)
-    else:
+def _emit(args: argparse.Namespace, payload: str) -> None:
+    if not args.out:
         sys.stdout.write(payload)
+        return
+    try:
+        with open(args.out, "w", newline="") as fh:
+            fh.write(payload)
+    except OSError as exc:
+        raise ValueError(f"cannot write --out {args.out}: {exc.strerror}") from None
 
 
 def _csv(rows: list[list[object]], header: list[str]) -> str:
@@ -158,50 +138,50 @@ def _exact_csv_cells(value: Number) -> list[object]:
     return ["", "", repr(value)]
 
 
-def _cmd_state(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_state(args: argparse.Namespace) -> int:
     h = _resolve_hypergraph(args)
     doc = hypergraph_json(h)
     if args.action == "build":
         doc["text"] = format_hypergraph(h)
     else:
         doc["signs_hex"] = build_state(h).to_hex()
-    _emit(cfg, dumps(doc))
+    _emit(args, dumps(doc))
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_verify(args: argparse.Namespace) -> int:
     h = _resolve_hypergraph(args)
     doc = {"check": args.action, **hypergraph_json(h)}
     if args.action == "stabilizers":
         state = build_state(h)
         doc["ok"] = all(apply_stabilizer(state, h, i) == state for i in range(1, h.n + 1))
     elif args.action == "basis":
-        if h.n > cfg.cap_sweep:
-            raise ValueError(f"basis check capped at n <= {cfg.cap_sweep} (--cap-sweep)")
+        if h.n > args.cap_sweep:
+            raise ValueError(f"basis check capped at n <= {args.cap_sweep} (--cap-sweep)")
         state = build_state(h)
         doc["ok"] = all(
             overlap(state, basis_state(h, u)) == (1 if u == 0 else 0) for u in range(1 << h.n)
         )
     else:
-        deviation = projector_identity_check(h, dense_limit=cfg.cap_dense)
+        deviation = projector_identity_check(h, dense_limit=args.cap_dense)
         doc["deviation"] = deviation
         doc["ok"] = deviation == 0.0
-    _emit(cfg, dumps(doc))
+    _emit(args, dumps(doc))
     return 0 if doc["ok"] else 1
 
 
-def _cmd_entanglement(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_entanglement(args: argparse.Namespace) -> int:
     h = _resolve_hypergraph(args)
     doc: dict = {**hypergraph_json(h), "mode": args.mode}
     alphas: dict[str, float] = {}
 
     report = None
     if args.mode == "brute" or args.cross_check:
-        report = alpha_multipartite(build_state(h), sweep_limit=cfg.cap_sweep)
+        report = alpha_multipartite(build_state(h), sweep_limit=args.cap_sweep)
         alphas["brute"] = report.alpha
     if args.mode == "procedure" or args.cross_check:
         try:
-            proc = procedure_alpha(h, sweep_limit=cfg.cap_sweep)
+            proc = procedure_alpha(h, sweep_limit=args.cap_sweep)
         except ValueError:
             if args.mode == "procedure":
                 raise
@@ -241,20 +221,20 @@ def _cmd_entanglement(args: argparse.Namespace, cfg: RunConfig) -> int:
         spread = max(alphas.values()) - min(alphas.values())
         ok = spread <= 1e-9
         doc["match"] = ok
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         if report is None:
             raise ValueError("csv output needs the brute-force sweep (--mode brute)")
         rows = [
             [";".join(map(str, bp.part_a)), repr(a), repr(1.0 - a)]
             for bp, a in report.alpha_per_bipartition
         ]
-        _emit(cfg, _csv(rows, ["part_a", "alpha", "entanglement"]))
+        _emit(args, _csv(rows, ["part_a", "alpha", "entanglement"]))
     else:
-        _emit(cfg, dumps(doc))
+        _emit(args, dumps(doc))
     return 0 if ok else 1
 
 
-def _cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_reduce(args: argparse.Namespace) -> int:
     h = _resolve_hypergraph(args)
     part = [int(tok) for tok in args.partA.split(",") if tok]
     cert = locc_reduce(h, Bipartition.of(h.n, part))
@@ -284,27 +264,27 @@ def _cmd_reduce(args: argparse.Namespace, cfg: RunConfig) -> int:
             for b in cert.branches
         ],
     }
-    _emit(cfg, dumps(doc))
+    _emit(args, dumps(doc))
     return 0 if cert.validated else 1
 
 
-def _witness_alpha(args: argparse.Namespace, h: Hypergraph, cfg: RunConfig) -> Number:
+def _witness_alpha(args: argparse.Namespace, h: Hypergraph) -> Number:
     if args.alpha_mode == "generic":
         return default_alpha(h)
     if args.alpha_mode == "closed-form":
         if args.family is None:
             raise ValueError("closed-form alpha needs --family")
         return closed_form_alpha(Family.from_cli(args.family), h.n)
-    return alpha_multipartite(build_state(h), sweep_limit=cfg.cap_sweep).alpha
+    return alpha_multipartite(build_state(h), sweep_limit=args.cap_sweep).alpha
 
 
-def _cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_witness(args: argparse.Namespace) -> int:
     if args.action == "table":
         if args.family is None or args.n_range is None:
             raise ValueError("witness table needs --family and --n-range")
         family = Family.from_cli(args.family)
         rows = robustness_table(family, _parse_range(args.n_range))
-        if cfg.fmt == "csv":
+        if args.format == "csv":
             data = [[r.n, *_exact_csv_cells(r.projector), *_exact_csv_cells(r.stabilizer)] for r in rows]
             header = [
                 "n",
@@ -315,7 +295,7 @@ def _cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "stabilizer_den",
                 "stabilizer_float",
             ]
-            _emit(cfg, _csv(data, header))
+            _emit(args, _csv(data, header))
         else:
             doc = {
                 "family": family.cli_name,
@@ -324,11 +304,13 @@ def _cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
                     for r in rows
                 ],
             }
-            _emit(cfg, dumps(doc))
+            _emit(args, dumps(doc))
         return 0
 
+    if args.format == "csv":
+        raise ValueError(f"csv output is offered only by witness table, not witness {args.action}")
     h = _resolve_hypergraph(args)
-    alpha = _witness_alpha(args, h, cfg)
+    alpha = _witness_alpha(args, h)
     if args.kind == "projector":
         spec = projector_witness(h, alpha)
     else:
@@ -355,15 +337,15 @@ def _cmd_witness(args: argparse.Namespace, cfg: RunConfig) -> int:
         doc["p"] = exact_json(p)
         doc["expectation"] = exact_json(value)
         doc["negative"] = value < 0
-    _emit(cfg, dumps(doc))
+    _emit(args, dumps(doc))
     return 0
 
 
-def _cmd_settings(args: argparse.Namespace, cfg: RunConfig) -> int:
+def _cmd_settings(args: argparse.Namespace) -> int:
     h = _resolve_hypergraph(args)
     alpha = default_alpha(h)
     spec = projector_witness(h, alpha) if args.kind == "projector" else stabilizer_witness(h, alpha)
-    settings = witness_settings(spec, SettingMode(args.mode), symbolic_limit=cfg.cap_symbolic)
+    settings = witness_settings(spec, SettingMode(args.mode), symbolic_limit=args.cap_symbolic)
     doc = {
         "kind": args.kind,
         **hypergraph_json(h),
@@ -372,18 +354,16 @@ def _cmd_settings(args: argparse.Namespace, cfg: RunConfig) -> int:
     }
     if args.action == "list":
         doc["settings"] = list(settings)
-    _emit(cfg, dumps(doc))
+    _emit(args, dumps(doc))
     return 0
 
 
-def _cmd_campaign(args: argparse.Namespace, cfg: RunConfig) -> int:
-    report = lower_bound_campaign(args.count, args.max_n, cfg.seed, sweep_limit=cfg.cap_sweep)
-    doc = {
-        "seed": report.seed,
-        "count": report.count,
-        "max_n": report.max_n,
-        "all_hold": report.all_hold,
-        "rows": [
+def _cmd_campaign(args: argparse.Namespace) -> int:
+    given = {k: getattr(args, k) for k in ("count", "max_n", "seed") if getattr(args, k) is not None}
+    if args.action == "lower-bound":
+        report = lower_bound_campaign(**given, sweep_limit=args.cap_sweep)
+        verdict, ok = "all_hold", report.all_hold
+        rows = [
             {
                 "index": r.index,
                 **hypergraph_json(r.hypergraph),
@@ -393,10 +373,23 @@ def _cmd_campaign(args: argparse.Namespace, cfg: RunConfig) -> int:
                 "holds": r.holds,
             }
             for r in report.rows
-        ],
-    }
-    _emit(cfg, dumps(doc))
-    return 0 if report.all_hold else 1
+        ]
+    else:
+        report = reduction_audit(**given)
+        verdict, ok = "all_validated", report.all_validated
+        rows = [
+            {
+                "index": r.index,
+                **hypergraph_json(r.hypergraph),
+                "certificates": r.certificates,
+                "all_validated": r.all_validated,
+                "min_margin": r.min_margin,
+            }
+            for r in report.rows
+        ]
+    doc = {"seed": report.seed, "count": report.count, "max_n": report.max_n, verdict: ok, "rows": rows}
+    _emit(args, dumps(doc))
+    return 0 if ok else 1
 
 
 _HANDLERS = {
@@ -413,8 +406,7 @@ _HANDLERS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        cfg = _config(args)
-        return _HANDLERS[args.command](args, cfg)
+        return _HANDLERS[args.command](args)
     except (LoccValidationError, LoccReductionError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

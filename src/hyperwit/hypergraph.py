@@ -212,19 +212,29 @@ def permute_vertices(h: Hypergraph, perm: Sequence[int]) -> Hypergraph:
 _TEXT_RE = re.compile(r"^\s*n\s*=\s*(\d+)\s*;\s*edges\s*=\s*(\[.*\])\s*$", re.S)
 
 
+def edges_from_json(text: str, n: int) -> Hypergraph:
+    """Canonical hypergraph on n vertices from a JSON list of vertex lists.
+
+    Every vertex must be a JSON integer: `true` or `1.7` is refused, not
+    truncated to a vertex.
+    """
+    try:
+        raw = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"bad edge list {text!r}: {exc}") from None
+    if not isinstance(raw, list) or not all(
+        isinstance(e, list) and all(type(v) is int for v in e) for e in raw
+    ):
+        raise ValueError(f"edges must be a JSON list of lists of integer vertices, got {text!r}")
+    return canonicalize(raw, n)
+
+
 def parse_hypergraph(text: str) -> Hypergraph:
     """Parse the textual form 'n=<int>; edges=[[i,j,...],...]'."""
     m = _TEXT_RE.match(text)
     if not m:
         raise ValueError(f"cannot parse hypergraph text {text!r}")
-    n = int(m.group(1))
-    try:
-        edges = json.loads(m.group(2))
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"bad edge list in {text!r}: {exc}") from exc
-    if not isinstance(edges, list) or not all(isinstance(e, list) for e in edges):
-        raise ValueError("edges must be a list of vertex lists")
-    return canonicalize(edges, n)
+    return edges_from_json(m.group(2), int(m.group(1)))
 
 
 def format_hypergraph(h: Hypergraph) -> str:

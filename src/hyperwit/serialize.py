@@ -311,6 +311,33 @@ SCHEMAS: dict[str, dict[str, Any]] = {
         "required": ["seed", "count", "max_n", "all_hold", "rows"],
         "additionalProperties": False,
     },
+    "reduction-audit": {
+        "type": "object",
+        "properties": {
+            "seed": {"type": "integer"},
+            "count": {"type": "integer"},
+            "max_n": {"type": "integer"},
+            "all_validated": {"type": "boolean"},
+            "rows": {
+                "type": "array",
+                "items": {
+                    "type": "object",
+                    "properties": {
+                        "index": {"type": "integer"},
+                        "n": {"type": "integer"},
+                        "edges": _EDGES,
+                        "certificates": {"type": "integer", "minimum": 1},
+                        "all_validated": {"type": "boolean"},
+                        "min_margin": {"type": "number"},
+                    },
+                    "required": ["index", "n", "edges", "certificates", "all_validated", "min_margin"],
+                    "additionalProperties": False,
+                },
+            },
+        },
+        "required": ["seed", "count", "max_n", "all_validated", "rows"],
+        "additionalProperties": False,
+    },
 }
 
 

@@ -1,5 +1,7 @@
 import random
 
+import pytest
+
 from hyperwit import (
     is_connected,
     lower_bound_campaign,
@@ -41,3 +43,10 @@ def test_reduction_audit_report():
         assert row.all_validated
         assert row.certificates
         assert row.min_margin >= -1e-9
+
+
+@pytest.mark.parametrize("audit", [lower_bound_campaign, reduction_audit])
+@pytest.mark.parametrize("count,max_n,message", [(0, 5, "count"), (3, 1, "max_n")])
+def test_campaign_sizes_refused(audit, count, max_n, message):
+    with pytest.raises(ValueError, match=f"^{message} must be at least"):
+        audit(count, max_n, 1)

@@ -4,8 +4,8 @@ import tracemalloc
 import jsonschema
 import pytest
 
-from hyperwit import SignState
-from hyperwit.cli import main
+from hyperwit import SignState, parse_hypergraph, reduction_audit
+from hyperwit.cli import build_parser, main
 from hyperwit.serialize import schema_for
 
 DRAWN_EDGES = "[[1,2],[3,4],[3,4,5],[2,3,4,5]]"
@@ -269,3 +269,97 @@ def test_unknown_family_rejected_by_argparse(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["state", "build", "--family", "mystery", "--n", "3"])
     assert exc.value.code == 2
+
+
+def test_family_and_edges_are_mutually_exclusive(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["state", "build", "--family", "single-max", "--edges", "[[1,2]]", "--n", "3"])
+    assert exc.value.code == 2
+
+
+@pytest.mark.parametrize("edges", ["[[1.7,2],[true,3]]", "[[1,2.0]]", "[[true,2]]", '[["1",2]]', "[1,2]"])
+def test_edges_need_integer_vertices(capsys, edges):
+    code, out, err = run(capsys, "state", "build", "--edges", edges, "--n", "3")
+    assert code == 2 and out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error:")
+    with pytest.raises(ValueError, match="integer vertices"):
+        parse_hypergraph(f"n=3; edges={edges}")
+
+
+def test_out_to_unwritable_path_exits_2(tmp_path, capsys):
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run(capsys, "state", "build", "--family", "single-max", "--n", "2", "--out", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --out {path}: No such file or directory\n"
+
+
+@pytest.mark.parametrize("action", ["build", "eval"])
+def test_witness_csv_only_for_table(capsys, action):
+    code, out, err = run(
+        capsys, "witness", action, "--family", "single-max", "--n", "3", "--p", "1/3", "--format", "csv"
+    )
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and "witness table" in err
+
+
+# One invocation per subcommand, a value for each of the six flags that do not
+# select the instance, and the flags each subcommand reads: 16 of the 42
+# (subcommand, flag) slots parse, and the other 26 exit 2.
+_SUBCOMMANDS = {
+    "state": ["state", "dump", "--family", "single-max", "--n", "3"],
+    "reduce": ["reduce", "--family", "single-max", "--n", "3", "--partA", "1"],
+    "verify": ["verify", "stabilizers", "--family", "single-max", "--n", "3"],
+    "entanglement": ["entanglement", "--family", "single-max", "--n", "3"],
+    "witness": ["witness", "build", "--family", "single-max", "--n", "3"],
+    "settings": ["settings", "count", "--family", "single-max", "--n", "3"],
+    "campaign": ["campaign", "lower-bound", "--count", "1", "--max-n", "3"],
+}
+_FLAGS = {"--out": "report.json", "--seed": "3", "--format": "json", "--cap-sweep": "5", "--cap-dense": "5",
+          "--cap-symbolic": "5"}
+_READS = {
+    "state": {"--out"},
+    "reduce": {"--out"},
+    "verify": {"--out", "--cap-sweep", "--cap-dense"},
+    "entanglement": {"--out", "--format", "--cap-sweep"},
+    "witness": {"--out", "--format", "--cap-sweep"},
+    "settings": {"--out", "--cap-symbolic"},
+    "campaign": {"--out", "--seed", "--cap-sweep"},
+}
+
+
+@pytest.mark.parametrize("command", list(_SUBCOMMANDS))
+@pytest.mark.parametrize("flag", list(_FLAGS))
+def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, flag):
+    argv = [*_SUBCOMMANDS[command], flag, _FLAGS[flag]]
+    if flag in _READS[command]:
+        build_parser().parse_args(argv)
+        return
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+
+
+def test_campaign_reduction_audit_matches_api(capsys):
+    code, doc, _ = run_json(capsys, "reduction-audit", "campaign", "reduction-audit", "--count", "3", "--max-n", "5")
+    report = reduction_audit(3, 5, 2024)
+    assert code == 0
+    assert (doc["seed"], doc["count"], doc["max_n"], doc["all_validated"]) == (2024, 3, 5, report.all_validated)
+    assert doc["rows"] == [
+        {
+            "index": r.index,
+            "n": r.hypergraph.n,
+            "edges": [list(e) for e in r.hypergraph.edges],
+            "certificates": r.certificates,
+            "all_validated": r.all_validated,
+            "min_margin": r.min_margin,
+        }
+        for r in report.rows
+    ]
+
+
+@pytest.mark.parametrize("action,flag,value", [("lower-bound", "--count", "-3"), ("reduction-audit", "--max-n", "1")])
+def test_campaign_sizes_checked(capsys, action, flag, value):
+    code, out, err = run(capsys, "campaign", action, flag, value)
+    assert (code, out) == (2, "")
+    assert err.startswith("error:") and "must be at least" in err

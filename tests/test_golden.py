@@ -98,7 +98,8 @@ def _sweep_runs() -> list[list[str]]:
 
 def _document_runs() -> list[list[str]]:
     """Document shapes the lists above do not pin: state text, the basis and
-    projector checks, witness evaluation and tables, closed-form entanglement."""
+    projector checks, witness evaluation and tables, closed-form entanglement
+    and the reduction audit."""
     instances = [["--family", "all-n-1", "--n", "4"], ["--edges", "[[1,2],[2,3,4],[5]]", "--n", "5"]]
     runs: list[list[str]] = []
     for instance in instances:
@@ -115,6 +116,7 @@ def _document_runs() -> list[list[str]]:
             runs.append(["witness", "table", "--family", family, "--n-range", "3..8", "--format", fmt])
         for n in (3, 4, 5, 9):
             runs.append(["entanglement", "--mode", "closed-form", "--family", family, "--n", str(n)])
+    runs.append(["campaign", "reduction-audit", "--count", "3", "--max-n", "6", "--seed", "7"])
     return runs
 
 
