@@ -8,7 +8,7 @@ from fractions import Fraction
 
 from .entanglement import DEFAULT_SWEEP_LIMIT, lower_bound_check
 from .hypergraph import Hypergraph, canonicalize, enumerate_bipartitions, is_connected
-from .locc import reduce as locc_reduce
+from .locc import ORACLE_LIMIT, reduce as locc_reduce
 
 
 @dataclass(frozen=True)
@@ -67,18 +67,22 @@ def random_connected_hypergraph(n: int, rng: random.Random, *, max_tries: int = 
     raise RuntimeError(f"no connected sample found in {max_tries} tries at n={n}")
 
 
-def _check_sizes(count: int, max_n: int) -> None:
+def _check_sizes(count: int, max_n: int, cap: int, cap_name: str) -> None:
+    """Refuse a campaign before drawing anything if some draw would fail
+    or run past the cap its rows are checked under."""
     if count < 1:
         raise ValueError(f"count must be at least 1, got {count}")
     if max_n < 2:
         raise ValueError(f"max_n must be at least 2, got {max_n}")
+    if max_n > cap:
+        raise ValueError(f"max_n {max_n} exceeds the {cap_name} {cap}")
 
 
 def lower_bound_campaign(
     count: int = 200, max_n: int = 8, seed: int = 2024, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT
 ) -> CampaignReport:
     """Check E >= 1/2**(k_max-1) on seeded random connected hypergraphs."""
-    _check_sizes(count, max_n)
+    _check_sizes(count, max_n, sweep_limit, "sweep cap")
     rng = random.Random(seed)
     rows = []
     for index in range(count):
@@ -91,10 +95,11 @@ def lower_bound_campaign(
 def reduction_audit(count: int = 100, max_n: int = 7, seed: int = 2024) -> ReductionAuditReport:
     """Run the full reduction on every bipartition of random instances.
 
-    Each certificate is oracle-validated internally; the row records the
-    smallest margin entanglement - bound seen across cuts.
+    Every rewrite of each certificate is oracle-validated, so max_n may not
+    exceed the oracle limit; the row records the smallest margin
+    entanglement - bound seen across cuts.
     """
-    _check_sizes(count, max_n)
+    _check_sizes(count, max_n, ORACLE_LIMIT, "rewrite-oracle limit")
     rng = random.Random(seed)
     rows = []
     for index in range(count):

@@ -28,7 +28,7 @@ from .hypergraph import (
 from .locc import LoccReductionError, LoccValidationError, reduce as locc_reduce
 from .measurement import SYMBOLIC_LIMIT, SettingMode, witness_settings
 from .serialize import Number, dumps, exact_json, hypergraph_json
-from .states import apply_stabilizer, basis_state, build_state, overlap, projector_identity_check
+from .states import DENSE_LIMIT, apply_stabilizer, basis_state, build_state, overlap, projector_identity_check
 from .witness import (
     NoisyState,
     WitnessKind,
@@ -65,7 +65,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[out, instance, sweep], help="exact structural checks")
     p.add_argument("action", choices=["stabilizers", "basis", "projector"])
-    p.add_argument("--cap-dense", type=int, default=8, help="largest n for dense matrix checks")
+    p.add_argument("--cap-dense", type=int, default=DENSE_LIMIT, help="largest n for dense matrix checks")
 
     p = sub.add_parser("entanglement", parents=[out, instance, sweep, fmt], help="geometric entanglement")
     p.add_argument("--mode", choices=["brute", "procedure", "closed-form"], default="brute")

@@ -21,7 +21,15 @@ from typing import Sequence
 
 import numpy as np
 
-from .hypergraph import Bipartition, Family, Hypergraph, enumerate_bipartitions, max_cardinality, is_connected
+from .hypergraph import (
+    Bipartition,
+    Family,
+    Hypergraph,
+    build_family,
+    enumerate_bipartitions,
+    is_connected,
+    max_cardinality,
+)
 from .states import SignState, build_state, check_qubit_count, is_permutation_invariant
 
 SPECTRAL_TOL = 1e-9
@@ -137,35 +145,38 @@ def _cut_labels(n: int, orders: np.ndarray) -> np.ndarray:
     return (high[:, :, None] + low[:, None, :]).reshape(len(orders), -1).astype(np.intp)
 
 
-def _cut_matrix(state: SignState, part_a: Sequence[int]) -> np.ndarray:
-    """Sign table reshaped so rows index part A labels and columns the rest."""
-    labels = _cut_labels(state.n, np.array([_cut_order(state.n, part_a)]))
-    return state.signs().astype(np.float64)[labels].reshape(1 << len(part_a), -1)
-
-
 # Cut matrices are gathered in batches of at most this many sign entries
 # (one cut when a single cut is larger).
 _BATCH_ENTRIES = 1 << 14
 
 
-def _cut_alphas(signs: np.ndarray, n: int, k: int, orders: np.ndarray) -> np.ndarray:
-    """alpha of each cut in `orders`, whose first k vertices are the side
-    the Gram is taken over.
+def _cut_grams(signs: np.ndarray, n: int, k: int, orders: np.ndarray):
+    """Per batch of the cuts in `orders`, the stacked Grams of each order's
+    first k vertices: 2**n times their rdms, in that vertex order.
 
-    Each batch gathers its cut matrices with one index, forms their Grams
-    with one stacked matmul and takes the top eigenvalues with one stacked
-    eigvalsh. Gram entries are integers of magnitude at most 2**n <= 2**24,
-    so the float32 products and sums are exact and each Gram equals the
-    float64 one of the same cut matrix.
+    `signs` is the float32 sign table. Each batch gathers its cut matrices
+    with one index and forms their Grams with one stacked matmul. Gram
+    entries are integers of magnitude at most 2**n <= 2**24, so the float32
+    products and sums are exact and each float64 Gram is the exact integer
+    one.
     """
     step = max(1, _BATCH_ENTRIES >> n)
-    out = np.empty(len(orders))
     for start in range(0, len(orders), step):
         batch = orders[start : start + step]
         m = signs[_cut_labels(n, batch)].reshape(len(batch), 1 << k, 1 << (n - k))
-        gram = np.matmul(m, m.transpose(0, 2, 1)).astype(np.float64)
-        out[start : start + step] = np.linalg.eigvalsh(gram)[:, -1]
-    return out / (1 << n)
+        yield np.matmul(m, m.transpose(0, 2, 1)).astype(np.float64)
+
+
+def _cut_gram(signs: np.ndarray, n: int, side: Sequence[int]) -> np.ndarray:
+    """The exact Gram of one cut's side, in the side's vertex order."""
+    return next(_cut_grams(signs, n, len(side), np.array([_cut_order(n, side)])))[0]
+
+
+def _cut_alphas(signs: np.ndarray, n: int, k: int, orders: np.ndarray) -> np.ndarray:
+    """alpha of each cut in `orders`, by one stacked eigvalsh per batch of
+    Grams over each order's first k vertices."""
+    tops = [np.linalg.eigvalsh(gram)[:, -1] for gram in _cut_grams(signs, n, k, orders)]
+    return np.concatenate(tops) / (1 << n)
 
 
 def _smaller_side(bp: Bipartition) -> tuple[int, ...]:
@@ -200,7 +211,8 @@ def schmidt(state: SignState, bp: Bipartition) -> SchmidtSpectrum:
     """Schmidt coefficients across the cut, descending, via SVD."""
     if bp.n != state.n:
         raise ValueError("bipartition and state disagree on qubit count")
-    m = _cut_matrix(state, bp.part_a) / math.sqrt(state.dim)
+    labels = _cut_labels(state.n, np.array([_cut_order(state.n, bp.part_a)]))
+    m = state.signs().astype(np.float64)[labels].reshape(1 << len(bp.part_a), -1) / math.sqrt(state.dim)
     sv = np.linalg.svd(m, compute_uv=False)
     rank = int(np.count_nonzero(sv > SPECTRAL_TOL))
     return SchmidtSpectrum(bp, tuple(float(s) for s in sv), rank)
@@ -210,8 +222,7 @@ def reduced_density_matrix(state: SignState, kept_qubits: Sequence[int]) -> Redu
     kept = tuple(sorted(set(kept_qubits)))
     if not kept or len(kept) == state.n:
         raise ValueError("kept set must be a proper nonempty subset")
-    m = _cut_matrix(state, kept)
-    return ReducedDensityMatrix(kept, (m @ m.T) / state.dim)
+    return ReducedDensityMatrix(kept, _cut_gram(state.signs().astype(np.float32), state.n, kept) / state.dim)
 
 
 def alpha_bipartite(state: SignState, bp: Bipartition) -> float:
@@ -254,17 +265,6 @@ def infinity_norm(m: np.ndarray) -> float:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError("infinity norm defined here for square matrices only")
     return float(np.abs(a).sum(axis=1).max())
-
-
-def _prefix_gram(signs: np.ndarray, kept: int) -> np.ndarray:
-    """Exact integer Gram of the first `kept` qubits of a sign table: 2**n
-    times the rdm."""
-    s = signs.astype(np.int64).reshape(1 << kept, -1)
-    return s @ s.T
-
-
-def _exact_infinity_norm(gram: np.ndarray, dim: int) -> Fraction:
-    return Fraction(int(np.abs(gram).sum(axis=1).max()), dim)
 
 
 def _symmetric_layers(h: Hypergraph) -> tuple[int, ...] | None:
@@ -328,8 +328,8 @@ def procedure_alpha(h: Hypergraph, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT) ->
         lam = lam_ok = None
         if not ok:
             success = False
-            signs = build_state(h).signs() if signs is None else signs
-            lam = float(np.linalg.eigvalsh(_prefix_gram(signs, n - k).astype(np.float64))[-1]) / dim
+            signs = build_state(h).signs().astype(np.float32) if signs is None else signs
+            lam = float(np.linalg.eigvalsh(_cut_gram(signs, n, range(1, n - k + 1)))[-1]) / dim
             lam_ok = lam <= smax_sq + SPECTRAL_TOL
             if lam > alpha:
                 alpha, alpha_exact = lam, None
@@ -411,14 +411,9 @@ def reduced_structure_check(family: Family, n: int, k: int) -> StructureReport:
     """Build the exact reduced Gram and compare it with predicted_gram."""
     if k < 1 or n - k < 2:
         raise ValueError("need k >= 1 and at least 2 kept qubits")
-    min_n = 2 if family is Family.SINGLE_MAX_EDGE else 3
-    if n < min_n:
-        raise ValueError(f"{family.cli_name} family needs n >= {min_n}")
-    from .hypergraph import build_family
-
     state = build_state(build_family(family, n))
-    gram = _prefix_gram(state.signs(), n - k)
+    gram = _cut_gram(state.signs().astype(np.float32), n, range(1, n - k + 1))
     predicted = predicted_gram(family, n, k)
     deviation = int(np.abs(gram - predicted).max())
     values = tuple(sorted(int(v) for v in np.unique(gram)))
-    return StructureReport(family, n, k, deviation, values, _exact_infinity_norm(gram, state.dim))
+    return StructureReport(family, n, k, deviation, values, Fraction(int(np.abs(gram).sum(axis=1).max()), state.dim))

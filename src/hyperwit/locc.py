@@ -25,7 +25,7 @@ from typing import Iterable
 import numpy as np
 
 from .entanglement import SPECTRAL_TOL, alpha_bipartite
-from .hypergraph import Bipartition, Edge, Hypergraph, is_connected, toggle_edges
+from .hypergraph import Bipartition, Edge, Hypergraph, crossing_edges, is_connected, toggle_edges
 from .states import (
     SignState,
     apply_controlled_z,
@@ -206,10 +206,8 @@ def remove_non_crossing(
     Each deletion is a controlled-Z gate local to its side, so the move is
     free across the cut.
     """
-    part = set(part_a)
-    removed = tuple(
-        e for e in h.edges if e != keep and (all(v in part for v in e) or all(v not in part for v in e))
-    )
+    crossing = set(crossing_edges(h, part_a))
+    removed = tuple(e for e in h.edges if e != keep and e not in crossing)
     result = toggle_edges(h, removed)
     if _should_validate(h.n, validate) and removed:
         st = build_state(h)
@@ -227,10 +225,6 @@ def bipartition_after_measurement(bp: Bipartition, vertex: int) -> Bipartition |
         return None
     shifted = [v - 1 if v > vertex else v for v in rest_a]
     return Bipartition.of(bp.n - 1, shifted)
-
-
-def _crossing(edges: Iterable[Edge], part: set[int]) -> list[Edge]:
-    return [e for e in edges if any(v in part for v in e) and any(v not in part for v in e)]
 
 
 def reduce(
@@ -253,7 +247,7 @@ def reduce(
     if not is_connected(h):
         raise ValueError("reduction requires a connected hypergraph")
     part_a_orig = set(bp.part_a)
-    if not _crossing(h.edges, part_a_orig):
+    if not crossing_edges(h, part_a_orig):
         raise LoccReductionError("no crossing edge to reduce")
     validate = _should_validate(h.n, validate)
     keep = keep_branches if keep_branches is not None else h.n <= ORACLE_LIMIT
@@ -280,7 +274,7 @@ def reduce(
         def orig(e: Edge) -> Edge:
             return tuple(alive[v - 1] for v in e)
 
-        crossing = _crossing(work.edges, part)
+        crossing = crossing_edges(work, part)
         if not crossing:
             raise LoccReductionError("branch lost all crossing edges; rewrite chain suspect")
         kappa = max(len(e) for e in crossing)

@@ -106,21 +106,6 @@ class PauliString:
         return self.letters.replace("I", "Z")
 
 
-_DENSE_PAULI = {
-    "I": np.eye(2, dtype=np.complex128),
-    "X": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-    "Y": np.array([[0, -1j], [1j, 0]], dtype=np.complex128),
-    "Z": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-}
-
-
-def dense_pauli(letters: str) -> np.ndarray:
-    m = np.eye(1, dtype=np.complex128)
-    for c in letters:
-        m = np.kron(m, _DENSE_PAULI[c])
-    return m
-
-
 def _shifts(n: int) -> np.ndarray:
     """Label-bit position of each qubit, qubit 1 first."""
     return np.arange(n - 1, -1, -1)

@@ -339,7 +339,3 @@ SCHEMAS: dict[str, dict[str, Any]] = {
         "additionalProperties": False,
     },
 }
-
-
-def schema_for(kind: str) -> dict[str, Any]:
-    return SCHEMAS[kind]

@@ -21,6 +21,7 @@ import numpy as np
 from .hypergraph import Edge, Hypergraph
 
 MAX_QUBITS = 24
+DENSE_LIMIT = 8
 
 
 def label_bit(n: int, vertex: int) -> int:
@@ -292,7 +293,7 @@ def dense_stabilizer(h: Hypergraph, vertex: int) -> np.ndarray:
     return k
 
 
-def projector_identity_check(h: Hypergraph, *, dense_limit: int = 8) -> float:
+def projector_identity_check(h: Hypergraph, *, dense_limit: int = DENSE_LIMIT) -> float:
     """Compare 2**n |H><H| against both product and group-average forms.
 
     Builds the outer product of the sign table, the telescoped product of

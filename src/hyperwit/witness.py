@@ -19,9 +19,9 @@ from fractions import Fraction
 import numpy as np
 
 from .entanglement import alpha_multipartite, closed_form_alpha
-from .hypergraph import Bipartition, Family, Hypergraph, enumerate_bipartitions, max_cardinality
+from .hypergraph import Bipartition, Family, Hypergraph, build_family, enumerate_bipartitions, max_cardinality
 from .serialize import Number
-from .states import SignState, apply_stabilizer, build_state, dense_stabilizer, overlap
+from .states import DENSE_LIMIT, SignState, apply_stabilizer, build_state, dense_stabilizer, overlap
 
 FLOAT_SLACK = 1e-12
 
@@ -134,7 +134,7 @@ def expectation(spec: WitnessSpec, noisy: NoisyState) -> Number:
     return spec.beta - (1 - p) * acc
 
 
-def dense_expectation(spec: WitnessSpec, noisy: NoisyState, *, dense_limit: int = 8) -> float:
+def dense_expectation(spec: WitnessSpec, noisy: NoisyState, *, dense_limit: int = DENSE_LIMIT) -> float:
     """Trace against densely built matrices; the slow cross-check path."""
     n = spec.hypergraph.n
     if n > dense_limit:
@@ -154,8 +154,6 @@ def dense_expectation(spec: WitnessSpec, noisy: NoisyState, *, dense_limit: int 
 def robustness_table(family: Family, ns: range | list[int]) -> tuple[RobustnessRow, ...]:
     rows = []
     for n in ns:
-        from .hypergraph import build_family
-
         h = build_family(family, n)
         a = closed_form_alpha(family, n)
         rows.append(RobustnessRow(n, projector_witness(h, a).robustness, stabilizer_witness(h, a).robustness))

@@ -2,12 +2,14 @@ import random
 
 import pytest
 
+import hyperwit.campaign as campaign
 from hyperwit import (
     is_connected,
     lower_bound_campaign,
     random_connected_hypergraph,
     reduction_audit,
 )
+from hyperwit.locc import ORACLE_LIMIT
 
 
 def test_random_connected_hypergraph_properties():
@@ -50,3 +52,14 @@ def test_reduction_audit_report():
 def test_campaign_sizes_refused(audit, count, max_n, message):
     with pytest.raises(ValueError, match=f"^{message} must be at least"):
         audit(count, max_n, 1)
+
+
+def test_campaign_max_n_above_its_cap_refused(monkeypatch):
+    # refused before the first draw
+    monkeypatch.setattr(campaign, "random_connected_hypergraph", None)
+    with pytest.raises(ValueError, match="^max_n 13 exceeds the sweep cap 12$"):
+        lower_bound_campaign(12, 13, 2)
+    with pytest.raises(ValueError, match="^max_n 9 exceeds the sweep cap 8$"):
+        lower_bound_campaign(3, 9, 1, sweep_limit=8)
+    with pytest.raises(ValueError, match=f"^max_n {ORACLE_LIMIT + 1} exceeds the rewrite-oracle limit {ORACLE_LIMIT}$"):
+        reduction_audit(1, ORACLE_LIMIT + 1, 5)

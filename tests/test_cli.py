@@ -6,7 +6,7 @@ import pytest
 
 from hyperwit import SignState, parse_hypergraph, reduction_audit
 from hyperwit.cli import build_parser, main
-from hyperwit.serialize import schema_for
+from hyperwit.serialize import SCHEMAS
 
 DRAWN_EDGES = "[[1,2],[3,4],[3,4,5],[2,3,4,5]]"
 
@@ -20,7 +20,7 @@ def run(capsys, *argv):
 def run_json(capsys, kind, *argv):
     code, out, err = run(capsys, *argv)
     doc = json.loads(out)
-    jsonschema.validate(doc, schema_for(kind))
+    jsonschema.validate(doc, SCHEMAS[kind])
     return code, doc, err
 
 
@@ -363,3 +363,13 @@ def test_campaign_sizes_checked(capsys, action, flag, value):
     code, out, err = run(capsys, "campaign", action, flag, value)
     assert (code, out) == (2, "")
     assert err.startswith("error:") and "must be at least" in err
+
+
+@pytest.mark.parametrize("argv,message", [
+    (("lower-bound", "--count", "12", "--max-n", "13", "--seed", "2"), "max_n 13 exceeds the sweep cap 12"),
+    (("lower-bound", "--max-n", "6", "--cap-sweep", "5"), "max_n 6 exceeds the sweep cap 5"),
+    (("reduction-audit", "--count", "1", "--max-n", "11", "--seed", "5"), "max_n 11 exceeds the rewrite-oracle limit 10"),
+])
+def test_campaign_max_n_above_its_cap_refused(capsys, argv, message):
+    code, out, err = run(capsys, "campaign", *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")

@@ -35,13 +35,7 @@ from hyperwit import (
     schmidt,
 )
 from hyperwit.cli import main
-from hyperwit.entanglement import (
-    _exact_infinity_norm,
-    _prefix_gram,
-    _symmetric_layers,
-    _weight_gram,
-    _weight_infinity_norm,
-)
+from hyperwit.entanglement import _symmetric_layers, _weight_gram, _weight_infinity_norm
 
 GOLDEN_RATIO_ALPHA = (3 + math.sqrt(5)) / 8
 
@@ -187,6 +181,26 @@ def test_procedure_unpacks_the_sign_table_only_for_a_fallback(monkeypatch):
     # n = 4 fails its one norm row and takes the dense eigensolve
     assert not procedure_alpha(build_family(Family.ALL_N_MINUS_1, 4)).success
     assert calls == [4]
+    # two fallback rows share one unpacked table
+    calls.clear()
+    rep = procedure_alpha(Hypergraph(8, tuple(combinations(range(1, 9), 5))))
+    assert sum(row.lambda_max is not None for row in rep.rows) == 2
+    assert calls == [8]
+
+
+def test_procedure_fallback_is_the_top_eigenvalue_of_the_leading_gram():
+    # The fallback row k takes the Gram of vertices 1..n-k; its top
+    # eigenvalue must equal, bit for bit, that of the exact int64 Gram.
+    rows = 0
+    for n in range(2, 9):
+        for _, h in _layer_unions(n):
+            for row in procedure_alpha(h).rows:
+                if row.lambda_max is None:
+                    continue
+                s = build_state(h).signs().astype(np.int64).reshape(1 << (n - row.k), -1)
+                assert row.lambda_max == float(np.linalg.eigvalsh((s @ s.T).astype(np.float64))[-1]) / (1 << n), (n, h)
+                rows += 1
+    assert rows
 
 
 def test_procedure_exception_case_even_4():
@@ -253,12 +267,14 @@ def test_weight_gram_equals_dense_gram_on_every_layer_union():
     # norm then checks the weight multiplicities.
     for n in range(2, 11):
         for layers, h in _layer_unions(n):
-            signs = build_state(h).signs()
+            signs = build_state(h).signs().astype(np.int64)
             for kept in range(1, n):
-                dense = _prefix_gram(signs, kept)
+                s = signs.reshape(1 << kept, -1)
+                dense = s @ s.T
                 reps = [(1 << w) - 1 for w in range(kept + 1)]
                 assert dense[np.ix_(reps, reps)].tolist() == _weight_gram(n, layers, kept), (n, layers, kept)
-                assert _weight_infinity_norm(n, layers, kept) == _exact_infinity_norm(dense, 1 << n), (n, layers, kept)
+                norm = Fraction(int(np.abs(dense).sum(axis=1).max()), 1 << n)
+                assert _weight_infinity_norm(n, layers, kept) == norm, (n, layers, kept)
             # the single-qubit split (kept = 1) has both diagonal entries 2**(n-1)
             assert _weight_gram(n, layers, 1)[0][0] == 1 << (n - 1)
 

@@ -32,7 +32,7 @@ from hyperwit import (
 )
 from hyperwit import measurement
 from hyperwit.campaign import random_connected_hypergraph
-from hyperwit.measurement import _exact_sum, _keys, dense_pauli
+from hyperwit.measurement import _exact_sum, _keys
 from hyperwit.states import SignState, build_state, stabilizer_product_diagonal, vertices_of_label
 
 
@@ -193,7 +193,6 @@ def _exact_matrix(letters, numerators):
 def test_scatter_builder_matches_kron_for_every_string(n):
     for letters in map("".join, product("IXYZ", repeat=n)):
         built = _exact_matrix([letters], [1])
-        assert np.array_equal(built, dense_pauli(letters)), letters
         assert np.array_equal(built, oracles.pauli_matrix(letters)), letters
 
 
