@@ -13,6 +13,7 @@ from functools import lru_cache
 from .campaign import lower_bound_campaign, reduction_audit
 from .entanglement import (
     DEFAULT_SWEEP_LIMIT,
+    SPECTRAL_TOL,
     alpha_multipartite,
     closed_form_alpha,
     procedure_alpha,
@@ -219,7 +220,7 @@ def _cmd_entanglement(args: argparse.Namespace) -> int:
     ok = True
     if args.cross_check:
         spread = max(alphas.values()) - min(alphas.values())
-        ok = spread <= 1e-9
+        ok = spread <= SPECTRAL_TOL
         doc["match"] = ok
     if args.format == "csv":
         if report is None:

@@ -277,12 +277,16 @@ def _symmetric_layers(h: Hypergraph) -> tuple[int, ...] | None:
     return tuple(sorted(counts))
 
 
+def _weight_signs(n: int, layers: Sequence[int]) -> list[int]:
+    """Sign f(w) = (-1)**(sum of C(w, k) over the layers) of a weight-w label, w = 0..n."""
+    return [-1 if sum(math.comb(w, k) for k in layers) % 2 else 1 for w in range(n + 1)]
+
+
 def _weight_gram(n: int, layers: Sequence[int], kept: int) -> list[list[int]]:
     """Entry [a][b] is 2**n times the rdm entry of the first `kept` qubits
-    between any labels of weights a and b, an exact integer. A label of
-    weight w has the sign f(w) = (-1)**(sum of C(w, k) over the layers), and
-    the t = n - kept traced qubits hold C(t, j) labels of weight j."""
-    f = [-1 if sum(math.comb(w, k) for k in layers) % 2 else 1 for w in range(n + 1)]
+    between any labels of weights a and b, an exact integer. The t = n - kept
+    traced qubits hold C(t, j) labels of weight j."""
+    f = _weight_signs(n, layers)
     traced = [math.comb(n - kept, j) for j in range(n - kept + 1)]
     return [
         [sum(c * f[a + j] * f[b + j] for j, c in enumerate(traced)) for b in range(kept + 1)]
@@ -379,15 +383,21 @@ def lower_bound_check(h: Hypergraph, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT) 
     return LowerBoundReport(k_max, bound, report.E, report.E >= float(bound) - SPECTRAL_TOL)
 
 
-def _residual_state_signs(family: Family, m: int, k: int) -> np.ndarray:
-    # Residual edge family on the kept m vertices: every (m-1)-subset, plus
-    # the full m-edge depending on the parity of the traced-out count.
-    edges = [tuple(v for v in range(1, m + 1) if v != drop) for drop in range(1, m + 1)]
-    parity = k if family is Family.ALL_N_MINUS_1 else k + 1
-    if parity % 2 == 1:
-        edges.append(tuple(range(1, m + 1)))
-    h = Hypergraph(m, tuple(sorted(edges)))
-    return build_state(h).signs().astype(np.int64)
+def _predicted_weight_gram(family: Family, n: int, k: int) -> list[list[int]]:
+    """predicted_gram by label weight, c + mult g(a) g(b) + r(a) r(b): g is
+    the sign of the full edge on the m = n - k kept qubits, r that of every
+    (m-1)-subset plus, for odd traced-out parity, the full edge (none for
+    single-max)."""
+    m, least = n - k, 1 if family is Family.SINGLE_MAX_EDGE else 2
+    if k < 0 or m < least:
+        raise ValueError(f"{family.value} prediction needs k >= 0 and n - k >= {least}")
+    g = _weight_signs(m, (m,))
+    if family is Family.SINGLE_MAX_EDGE:
+        c, mult, r = (1 << k) - 1, 1, [0] * (m + 1)
+    else:
+        parity = k if family is Family.ALL_N_MINUS_1 else k + 1
+        c, mult, r = (1 << k) - k - 1, k, _weight_signs(m, (m - 1, m) if parity % 2 else (m - 1,))
+    return [[c + mult * g[a] * g[b] + r[a] * r[b] for b in range(m + 1)] for a in range(m + 1)]
 
 
 def predicted_gram(family: Family, n: int, k: int) -> np.ndarray:
@@ -397,23 +407,18 @@ def predicted_gram(family: Family, n: int, k: int) -> np.ndarray:
     a multiple of the single-max-edge outer square, and one residual outer
     square whose edge family depends on the traced-out parity.
     """
-    m = n - k
-    dim = 1 << m
-    j = np.ones((dim, dim), dtype=np.int64)
-    g = build_state(Hypergraph(m, (tuple(range(1, m + 1)),))).signs().astype(np.int64)
-    if family is Family.SINGLE_MAX_EDGE:
-        return ((1 << k) - 1) * j + np.outer(g, g)
-    r = _residual_state_signs(family, m, k)
-    return ((1 << k) - k - 1) * j + k * np.outer(g, g) + np.outer(r, r)
+    table = np.array(_predicted_weight_gram(family, n, k), dtype=np.int64)
+    weights = np.bitwise_count(np.arange(1 << (n - k)))
+    return table[weights[:, None], weights]
 
 
 def reduced_structure_check(family: Family, n: int, k: int) -> StructureReport:
-    """Build the exact reduced Gram and compare it with predicted_gram."""
+    """Compare the exact reduced Gram with predicted_gram, both by label weight."""
     if k < 1 or n - k < 2:
         raise ValueError("need k >= 1 and at least 2 kept qubits")
-    state = build_state(build_family(family, n))
-    gram = _cut_gram(state.signs().astype(np.float32), n, range(1, n - k + 1))
-    predicted = predicted_gram(family, n, k)
-    deviation = int(np.abs(gram - predicted).max())
-    values = tuple(sorted(int(v) for v in np.unique(gram)))
-    return StructureReport(family, n, k, deviation, values, Fraction(int(np.abs(gram).sum(axis=1).max()), state.dim))
+    check_qubit_count(n)
+    layers = _symmetric_layers(build_family(family, n))
+    gram, predicted = _weight_gram(n, layers, n - k), _predicted_weight_gram(family, n, k)
+    deviation = max(abs(v - p) for row, want in zip(gram, predicted) for v, p in zip(row, want))
+    values = tuple(sorted({v for row in gram for v in row}))
+    return StructureReport(family, n, k, deviation, values, _weight_infinity_norm(n, layers, n - k))

@@ -12,9 +12,9 @@ known by its label mask T, and one row-wise int64 transform covers a chunk
 of them. Each K_v equals U X_v U with U = diag(s), s the state's sign
 table, so every product is X_T times d_T(x) = s(x ^ T) * s(x), in any
 order: a chunk of subsets, holding a bounded number of entries, is one
-gather on s. For n <= DENSE_VALIDATE_LIMIT the single-vertex rows of that
-gather are compared with the edge-built vertex diagonals first; every
-product follows from them.
+gather on s. For n <= DENSE_VALIDATE_LIMIT every edge-built vertex
+stabilizer must first fix the packed table, so each single-vertex row of
+that gather is the edge-built vertex diagonal; every product follows.
 
 A string is a pair of bitmasks, X-part x and Z-part z (the transform mask).
 Its base-4 key spread(x ^ z) | spread(z) << 1, with spread moving bit i to
@@ -50,7 +50,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .states import build_state, label_of_vertices, stabilizer_diagonal
+from .states import apply_stabilizer, build_state, label_of_vertices
 from .witness import WitnessKind, WitnessSpec
 
 DENSE_VALIDATE_LIMIT = 6
@@ -235,23 +235,17 @@ def _chunks(h: Hypergraph, labels: np.ndarray, validate: bool) -> Iterator[tuple
     """(labels, diagonals) of the given subsets, _chunk_rows rows at a time.
 
     Row T is the gather s(x ^ T) * s(x) on the state's sign table s. When
-    validating, the n single-vertex rows must equal the edge-built vertex
-    diagonals, which ties every product to the edge list.
+    validating, every edge-built vertex stabilizer must first fix the table.
     """
-    signs = build_state(h).signs()
+    state = build_state(h)
+    if validate and any(apply_stabilizer(state, h, v) != state for v in h.vertices()):
+        raise ValueError("sign table disagrees with the edge-built vertex stabilizers")
+    signs = state.signs()
     xs = np.arange(1 << h.n)
-
-    def products(part: np.ndarray) -> np.ndarray:
-        return signs[part[:, None] ^ xs] * signs
-
-    if validate:
-        vertex_diagonals = np.stack([stabilizer_diagonal(h, v) for v in h.vertices()])
-        if not np.array_equal(products(_singletons(h.n)), vertex_diagonals):
-            raise ValueError("sign table disagrees with the edge-built vertex stabilizers")
     step = _chunk_rows(h.n, validate)
     for start in range(0, labels.size, step):
         part = labels[start : start + step]
-        yield part, products(part)
+        yield part, signs[part[:, None] ^ xs] * signs
 
 
 def _all_subsets(n: int) -> Iterator[tuple[int, ...]]:

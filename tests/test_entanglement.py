@@ -29,6 +29,7 @@ from hyperwit import (
     is_permutation_invariant,
     lower_bound_check,
     permute_vertices,
+    predicted_gram,
     procedure_alpha,
     reduced_density_matrix,
     reduced_structure_check,
@@ -369,3 +370,62 @@ def test_reduced_structure_rejects_bad_split():
         reduced_structure_check(Family.SINGLE_MAX_EDGE, 4, 0)
     with pytest.raises(ValueError):
         reduced_structure_check(Family.SINGLE_MAX_EDGE, 4, 3)
+
+
+def test_reduced_structure_matches_the_dense_gram():
+    # the dense oracle: the int64 sign table with one row per label of
+    # vertices 1..n-k, and its Gram M @ M.T
+    for fam in Family:
+        for n in range(3, 12):
+            signs = build_state(build_family(fam, n)).signs().astype(np.int64)
+            for k in range(1, n - 1):
+                m = signs.reshape(1 << (n - k), -1)
+                gram = m @ m.T
+                rep = reduced_structure_check(fam, n, k)
+                assert rep.deviation == int(np.abs(gram - predicted_gram(fam, n, k)).max()), (fam, n, k)
+                assert rep.values == tuple(np.unique(gram).tolist()), (fam, n, k)
+                assert rep.infinity_norm == Fraction(int(np.abs(gram).sum(axis=1).max()), 1 << n), (fam, n, k)
+
+
+def _residual_table_prediction(fam, n, k):
+    # a constant block, k (or 1) times the outer square of the single full
+    # edge on the m kept qubits, and the outer square of the residual state:
+    # every (m-1)-subset, plus the full edge when the traced-out parity is odd
+    m = n - k
+    j = np.ones((1 << m, 1 << m), dtype=np.int64)
+    g = build_state(Hypergraph(m, (tuple(range(1, m + 1)),))).signs().astype(np.int64)
+    if fam is Family.SINGLE_MAX_EDGE:
+        return ((1 << k) - 1) * j + np.outer(g, g)
+    edges = [[v for v in range(1, m + 1) if v != drop] for drop in range(1, m + 1)]
+    if (k if fam is Family.ALL_N_MINUS_1 else k + 1) % 2:
+        edges.append(list(range(1, m + 1)))
+    r = build_state(canonicalize(edges, m)).signs().astype(np.int64)
+    return ((1 << k) - k - 1) * j + k * np.outer(g, g) + np.outer(r, r)
+
+
+def test_predicted_gram_equals_the_residual_sign_tables():
+    for fam in Family:
+        least = 1 if fam is Family.SINGLE_MAX_EDGE else 2
+        for n in range(1, 11):
+            for k in range(-1, n + 2):
+                if k < 0 or n - k < least:
+                    with pytest.raises(ValueError, match=f"needs k >= 0 and n - k >= {least}"):
+                        predicted_gram(fam, n, k)
+                    continue
+                got = predicted_gram(fam, n, k)
+                assert got.dtype == np.int64, (fam, n, k)
+                assert np.array_equal(got, _residual_table_prediction(fam, n, k)), (fam, n, k)
+
+
+def test_reduced_structure_at_n24_builds_no_table():
+    # at k = 1 a dense Gram of the kept qubits would be 2**23-square
+    tracemalloc.start()
+    try:
+        reports = [reduced_structure_check(fam, 24, k) for fam in Family for k in range(1, 23)]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert all(rep.deviation == 0 for rep in reports)
+    assert peak < 2 << 20, peak
+    with pytest.raises(ValueError, match=r"qubit count must lie in 1\.\.24"):
+        reduced_structure_check(Family.ALL_N_MINUS_1, 25, 1)

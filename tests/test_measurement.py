@@ -30,7 +30,7 @@ from hyperwit import (
     witness_setting_count,
     witness_settings,
 )
-from hyperwit import measurement
+from hyperwit import measurement, states
 from hyperwit.campaign import random_connected_hypergraph
 from hyperwit.measurement import _exact_sum, _keys
 from hyperwit.states import SignState, build_state, stabilizer_product_diagonal, vertices_of_label
@@ -370,6 +370,17 @@ def test_singleton_check_catches_a_corrupted_sign_table(monkeypatch, witness, mo
     monkeypatch.setattr(measurement, "build_state", lambda g: SignState(g.n, neg))
     with pytest.raises(ValueError, match="sign table disagrees"):
         witness_settings(witness(h), mode)
+
+
+@pytest.mark.parametrize("mode", list(SettingMode))
+@pytest.mark.parametrize("witness", [projector_witness, stabilizer_witness])
+def test_singleton_check_catches_a_corrupted_edge_side(monkeypatch, witness, mode):
+    spec = witness(_connected(5, 0))
+    link_mask = states._link_mask
+    # flip one label of vertex 1's edge-built stabilizer; the table stays right
+    monkeypatch.setattr(states, "_link_mask", lambda h, v: link_mask(h, v) ^ ((v == 1) << 11))
+    with pytest.raises(ValueError, match="sign table disagrees"):
+        witness_settings(spec, mode)
 
 
 def test_keys_follow_letter_order_beyond_one_byte():
