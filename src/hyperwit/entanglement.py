@@ -259,14 +259,6 @@ def alpha_multipartite(state: SignState, *, sweep_limit: int = DEFAULT_SWEEP_LIM
     return EntanglementReport(rows, values[best], 1.0 - values[best], plan.bipartitions[best])
 
 
-def infinity_norm(m: np.ndarray) -> float:
-    """Maximum absolute row sum; bounds the top eigenvalue of a PSD matrix."""
-    a = np.asarray(m)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        raise ValueError("infinity norm defined here for square matrices only")
-    return float(np.abs(a).sum(axis=1).max())
-
-
 def _symmetric_layers(h: Hypergraph) -> tuple[int, ...] | None:
     """Edge cardinalities of h if its edge set, and so its state, is
     invariant under relabeling: a union of complete k-uniform layers, each
@@ -405,9 +397,16 @@ def predicted_gram(family: Family, n: int, k: int) -> np.ndarray:
 
     All three families reduce to a rank-three pattern: a constant block,
     a multiple of the single-max-edge outer square, and one residual outer
-    square whose edge family depends on the traced-out parity.
+    square whose edge family depends on the traced-out parity. Refused
+    before allocating above DEFAULT_SWEEP_LIMIT kept qubits.
     """
+    check_qubit_count(n)
     table = np.array(_predicted_weight_gram(family, n, k), dtype=np.int64)
+    if n - k > DEFAULT_SWEEP_LIMIT:
+        raise ValueError(
+            f"predicted Gram would be {1 << (n - k)}-square; capped at n - k <= {DEFAULT_SWEEP_LIMIT} "
+            f"({1 << DEFAULT_SWEEP_LIMIT}-square)"
+        )
     weights = np.bitwise_count(np.arange(1 << (n - k)))
     return table[weights[:, None], weights]
 

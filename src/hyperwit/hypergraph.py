@@ -13,7 +13,7 @@ import json
 import re
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Edge = tuple[int, ...]
 
@@ -113,17 +113,6 @@ def build_family(family: Family, n: int) -> Hypergraph:
     return Hypergraph(n, tuple(sorted(lower + [tuple(range(1, n + 1))])))
 
 
-def detect_family(h: Hypergraph) -> Family | None:
-    """Return the family whose canonical member equals h, if any."""
-    for fam in Family:
-        try:
-            if build_family(fam, h.n) == h:
-                return fam
-        except ValueError:
-            continue
-    return None
-
-
 def is_connected(h: Hypergraph) -> bool:
     """True when the vertices form a single component under shared membership
     in edges of cardinality >= 2."""
@@ -200,13 +189,6 @@ def crossing_edges(h: Hypergraph, bp: Bipartition | Iterable[int]) -> tuple[Edge
         if 0 < inside < len(e):
             out.append(e)
     return tuple(out)
-
-
-def permute_vertices(h: Hypergraph, perm: Sequence[int]) -> Hypergraph:
-    """Relabel vertex v as perm[v-1]; perm must be a permutation of 1..n."""
-    if sorted(perm) != list(h.vertices()):
-        raise ValueError("perm must be a permutation of 1..n")
-    return canonicalize([[perm[v - 1] for v in e] for e in h.edges], h.n)
 
 
 _TEXT_RE = re.compile(r"^\s*n\s*=\s*(\d+)\s*;\s*edges\s*=\s*(\[.*\])\s*$", re.S)

@@ -217,16 +217,6 @@ def remove_non_crossing(
     return result, removed
 
 
-def bipartition_after_measurement(bp: Bipartition, vertex: int) -> Bipartition | None:
-    """The cut induced on the remaining qubits, or None if a side empties."""
-    rest_a = [v for v in bp.part_a if v != vertex]
-    rest_b = [v for v in bp.part_b if v != vertex]
-    if not rest_a or not rest_b:
-        return None
-    shifted = [v - 1 if v > vertex else v for v in rest_a]
-    return Bipartition.of(bp.n - 1, shifted)
-
-
 def reduce(
     h: Hypergraph,
     bp: Bipartition,

@@ -385,42 +385,6 @@ def greedy_min_settings(strings: Iterable[PauliString]) -> tuple[str, ...]:
     return _first_fit(_sorted_keys([_keys(x, z, n)], n), n)
 
 
-def exact_min_settings(strings: Iterable[PauliString], *, vertex_limit: int = 4) -> tuple[str, ...]:
-    """Exhaustive minimum setting cover; exponential, capped by qubit count."""
-    patterns = sorted({s.letters for s in strings})
-    if not patterns:
-        return ()
-    n = len(patterns[0])
-    if n > vertex_limit:
-        raise ValueError(f"exact cover capped at {vertex_limit} qubits, got {n}")
-
-    def candidates(p: str) -> list[str]:
-        opts = [(c,) if c != "I" else ("X", "Y", "Z") for c in p]
-        out = [""]
-        for o in opts:
-            out = [prefix + c for prefix in out for c in o]
-        return out
-
-    def covers(setting: str, p: str) -> bool:
-        return all(c == "I" or c == setting[i] for i, c in enumerate(p))
-
-    best: list[tuple[str, ...]] = [tuple(canonical_settings(PauliString(p, Fraction(1)) for p in patterns))]
-
-    def search(uncovered: list[str], chosen: list[str]) -> None:
-        if len(chosen) >= len(best[0]):
-            return
-        if not uncovered:
-            best[0] = tuple(sorted(chosen))
-            return
-        pivot = min(uncovered, key=lambda p: len(candidates(p)))
-        for setting in candidates(pivot):
-            rest = [p for p in uncovered if not covers(setting, p)]
-            search(rest, chosen + [setting])
-
-    search(patterns, [])
-    return best[0]
-
-
 def witness_settings(
     spec: WitnessSpec, mode: SettingMode = SettingMode.CANONICAL, *, symbolic_limit: int = SYMBOLIC_LIMIT
 ) -> tuple[str, ...]:
@@ -442,17 +406,3 @@ def witness_settings(
         raise ValueError("stabilizer settings disagree with X on each vertex, Z elsewhere")
     return settings
 
-
-def witness_setting_count(
-    spec: WitnessSpec, mode: SettingMode = SettingMode.CANONICAL, *, symbolic_limit: int = SYMBOLIC_LIMIT
-) -> int:
-    return len(witness_settings(spec, mode, symbolic_limit=symbolic_limit))
-
-
-def family_projector_count(n: int) -> int:
-    """Closed-form canonical count for the single-max-edge family, n >= 3."""
-    return (3**n - 1) // 2
-
-
-def product_setting_count(h: Hypergraph, subset: Iterable[int]) -> int:
-    return len(canonical_settings(decompose_stabilizer_product(h, subset)))

@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .hypergraph import Edge, Hypergraph
+from .hypergraph import Hypergraph
 
 MAX_QUBITS = 24
 DENSE_LIMIT = 8
@@ -125,10 +125,6 @@ class SignState:
     @classmethod
     def from_hex(cls, n: int, text: str) -> "SignState":
         return cls(n, int(text, 16))
-
-
-def plus_state(n: int) -> SignState:
-    return SignState(n, 0)
 
 
 def build_state(h: Hypergraph) -> SignState:
@@ -284,15 +280,6 @@ def stabilizer_product_diagonal(h: Hypergraph, subset: Iterable[int]) -> np.ndar
     return d
 
 
-def dense_stabilizer(h: Hypergraph, vertex: int) -> np.ndarray:
-    """The vertex stabilizer as an exact integer matrix."""
-    dim = 1 << h.n
-    xs = np.arange(dim)
-    k = np.zeros((dim, dim), dtype=np.int64)
-    k[xs ^ (1 << label_bit(h.n, vertex)), xs] = stabilizer_diagonal(h, vertex)
-    return k
-
-
 def projector_identity_check(h: Hypergraph, *, dense_limit: int = DENSE_LIMIT) -> float:
     """Compare 2**n |H><H| against both product and group-average forms.
 
@@ -308,9 +295,12 @@ def projector_identity_check(h: Hypergraph, *, dense_limit: int = DENSE_LIMIT) -
     signs = build_state(h).signs().astype(np.int64)
     outer = np.outer(signs, signs)
 
+    # K_v maps column x to row x ^ bit with factor d(x), so K_v @ prod is the
+    # rows of d[:, None] * prod permuted by x -> x ^ bit
     prod = np.eye(dim, dtype=np.int64)
     for v in h.vertices():
-        prod = prod + dense_stabilizer(h, v) @ prod
+        d = stabilizer_diagonal(h, v)
+        prod = prod + (d[:, None] * prod)[xs ^ (1 << label_bit(h.n, v))]
 
     group_sum = np.zeros((dim, dim), dtype=np.int64)
     for mask in range(1 << h.n):

@@ -11,17 +11,14 @@ only the weight-0 member.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 
-import numpy as np
-
-from .entanglement import alpha_multipartite, closed_form_alpha
-from .hypergraph import Bipartition, Family, Hypergraph, build_family, enumerate_bipartitions, max_cardinality
+from .entanglement import closed_form_alpha
+from .hypergraph import Family, Hypergraph, build_family, max_cardinality
 from .serialize import Number
-from .states import DENSE_LIMIT, SignState, apply_stabilizer, build_state, dense_stabilizer, overlap
+from .states import apply_stabilizer, build_state, overlap
 
 FLOAT_SLACK = 1e-12
 
@@ -134,23 +131,6 @@ def expectation(spec: WitnessSpec, noisy: NoisyState) -> Number:
     return spec.beta - (1 - p) * acc
 
 
-def dense_expectation(spec: WitnessSpec, noisy: NoisyState, *, dense_limit: int = DENSE_LIMIT) -> float:
-    """Trace against densely built matrices; the slow cross-check path."""
-    n = spec.hypergraph.n
-    if n > dense_limit:
-        raise ValueError(f"dense check limited to n <= {dense_limit}, got n={n}")
-    dim = 1 << n
-    amps = build_state(noisy.hypergraph).amplitudes()
-    rho = float(noisy.p) * np.eye(dim) / dim + (1.0 - float(noisy.p)) * np.outer(amps, amps)
-    if spec.kind is WitnessKind.PROJECTOR:
-        target = build_state(spec.hypergraph).amplitudes()
-        w = float(spec.alpha) * np.eye(dim) - np.outer(target, target)
-    else:
-        ks = sum(dense_stabilizer(spec.hypergraph, i) for i in range(1, n + 1))
-        w = float(spec.beta) * np.eye(dim) - ks.astype(np.float64)
-    return float(np.trace(w @ rho))
-
-
 def robustness_table(family: Family, ns: range | list[int]) -> tuple[RobustnessRow, ...]:
     rows = []
     for n in ns:
@@ -159,34 +139,3 @@ def robustness_table(family: Family, ns: range | list[int]) -> tuple[RobustnessR
         rows.append(RobustnessRow(n, projector_witness(h, a).robustness, stabilizer_witness(h, a).robustness))
     return tuple(rows)
 
-
-def biseparable_audit(
-    h: Hypergraph,
-    alpha: Number | None = None,
-    *,
-    trials: int = 1000,
-    seed: int = 0,
-) -> float:
-    """Sample random pure states that are product across random cuts and
-    return the smallest projector-witness expectation seen. Nonnegative
-    for an alpha that genuinely bounds the biseparable overlap."""
-    a = float(alpha_multipartite(build_state(h)).alpha if alpha is None else alpha)
-    amps = build_state(h).amplitudes()
-    cuts = list(enumerate_bipartitions(h.n))
-    rng = np.random.default_rng(seed)
-    worst = math.inf
-    for _ in range(trials):
-        bp: Bipartition = cuts[int(rng.integers(len(cuts)))]
-        order = list(bp.part_a) + list(bp.part_b)
-        factors = []
-        for size in (len(bp.part_a), h.n - len(bp.part_a)):
-            v = rng.standard_normal(1 << size) + 1j * rng.standard_normal(1 << size)
-            factors.append(v / np.linalg.norm(v))
-        psi_cut = np.kron(factors[0], factors[1]).reshape((2,) * h.n)
-        inverse = [0] * h.n
-        for axis, vertex in enumerate(order):
-            inverse[vertex - 1] = axis
-        psi = psi_cut.transpose(inverse).reshape(-1)
-        ov = np.vdot(psi, amps)
-        worst = min(worst, a - float(abs(ov)) ** 2)
-    return worst

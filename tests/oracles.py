@@ -121,3 +121,66 @@ def proportional(u: np.ndarray, v: np.ndarray, tol: float = 1e-12) -> bool:
         return bool(np.max(np.abs(u)) < tol)
     c = u[i] / v[i]
     return bool(abs(c) > tol and np.allclose(u, c * v, atol=tol))
+
+
+def permute_vertices(edges, perm) -> tuple[tuple[int, ...], ...]:
+    """Edges relabelled vertex v -> perm[v-1], sorted; perm is a permutation of 1..n."""
+    if sorted(perm) != list(range(1, len(perm) + 1)):
+        raise ValueError("perm must be a permutation of 1..n")
+    return tuple(sorted(tuple(sorted(perm[v - 1] for v in e)) for e in edges))
+
+
+def dense_expectation(spec, noisy) -> float:
+    """Tr(W rho) of a witness on a white-noise mixture, from dense matrices.
+
+    Reads only attributes: the witness's kind, hypergraph, alpha and beta,
+    and the state's hypergraph and noise fraction p. The projector witness
+    is alpha*I - |H><H|, the stabilizer witness beta*I - sum_v K_v.
+    """
+    n = spec.hypergraph.n
+    dim = 1 << n
+    amps = dense_state(n, noisy.hypergraph.edges)
+    p = float(noisy.p)
+    rho = p * np.eye(dim) / dim + (1.0 - p) * np.outer(amps, amps)
+    if spec.kind.value == "projector":
+        target = dense_state(n, spec.hypergraph.edges)
+        w = float(spec.alpha) * np.eye(dim) - np.outer(target, target)
+    else:
+        ks = sum(stabilizer_matrix(n, spec.hypergraph.edges, v) for v in range(1, n + 1))
+        w = float(spec.beta) * np.eye(dim) - ks
+    return float(np.trace(w @ rho))
+
+
+def exact_min_settings(patterns) -> tuple[str, ...]:
+    """Minimum cover of Pauli letter strings by settings, by branch and bound
+    from the identity-to-Z completions; exponential, so capped at 4 qubits."""
+    patterns = sorted(set(patterns))
+    if not patterns:
+        return ()
+    n = len(patterns[0])
+    if n > 4:
+        raise ValueError(f"exact cover capped at 4 qubits, got {n}")
+
+    def candidates(p: str) -> list[str]:
+        out = [""]
+        for c in p:
+            out = [prefix + o for prefix in out for o in ("XYZ" if c == "I" else c)]
+        return out
+
+    def covers(setting: str, p: str) -> bool:
+        return all(c == "I" or c == s for c, s in zip(p, setting))
+
+    best = [tuple(sorted({p.replace("I", "Z") for p in patterns}))]
+
+    def search(uncovered: list[str], chosen: list[str]) -> None:
+        if len(chosen) >= len(best[0]):
+            return
+        if not uncovered:
+            best[0] = tuple(sorted(chosen))
+            return
+        pivot = min(uncovered, key=lambda p: len(candidates(p)))
+        for setting in candidates(pivot):
+            search([p for p in uncovered if not covers(setting, p)], chosen + [setting])
+
+    search(patterns, [])
+    return best[0]

@@ -156,7 +156,7 @@ def test_criterion_07_feasibility_and_dense_cross_check():
                 for p in (Fraction(0), Fraction(1, 3), spec.robustness):
                     noisy = hw.NoisyState(h, p)
                     exact = float(hw.expectation(spec, noisy))
-                    dense = hw.dense_expectation(spec, noisy)
+                    dense = oracles.dense_expectation(spec, noisy)
                     assert abs(exact - dense) <= TOL, (fam, n, spec.kind, p)
     print("criterion 07: PASS (boundary feasibility n=3..10, dense trace agrees n<=8)")
 
@@ -189,33 +189,33 @@ def _two_qubit_exact_counts() -> tuple[int, int]:
     for a, b in combinations(support, 2):
         assert any(x != "I" and y != "I" and x != y for x, y in zip(a, b)), (a, b)
     projector = len(support)  # pairwise clashing: one setting per string
-    assert len(hw.exact_min_settings(hw.PauliString(s, Fraction(1, 4)) for s in support)) == projector
+    assert len(oracles.exact_min_settings(support)) == projector
     return projector, block
 
 
 def test_criterion_08_setting_counts_as_stated():
     # The closed forms (3^n - 1)/2 per projector and 2^(k-1) per k-fold
-    # product start at n = 3 (family_projector_count says n >= 3). At n = 2
-    # the product K1 K2 collapses to the single string YY, so the exact
-    # counts there are 3 and 1; _two_qubit_exact_counts derives both from
-    # the dense oracle, not from the counting code under test.
+    # product start at n = 3. At n = 2 the product K1 K2 collapses to the
+    # single string YY, so the exact counts there are 3 and 1;
+    # _two_qubit_exact_counts derives both from the dense oracle, not from
+    # the counting code under test.
     projector2, block2 = _two_qubit_exact_counts()
     assert (projector2, block2) == (3, 1)
     failures = []
     for n in range(2, 7):
         h = hw.build_family(hw.Family.SINGLE_MAX_EDGE, n)
-        got = hw.witness_setting_count(hw.projector_witness(h))
+        got = len(hw.witness_settings(hw.projector_witness(h)))
         want, source = (projector2, "exact") if n == 2 else ((3**n - 1) // 2, "formula")
         if got != want:
             failures.append(f"projector count n={n}: got {got}, {source} {want}")
-        if hw.witness_setting_count(hw.stabilizer_witness(h)) != n:
+        if len(hw.witness_settings(hw.stabilizer_witness(h))) != n:
             failures.append(f"stabilizer count n={n}")
     for n in range(2, 9):
         h = hw.build_family(hw.Family.SINGLE_MAX_EDGE, n)
         for k in range(1, n + 1):
             want, source = (block2, "exact") if (n, k) == (2, 2) else (1 << (k - 1), "formula")
             for sub in combinations(range(1, n + 1), k):
-                got = hw.product_setting_count(h, sub)
+                got = len(hw.canonical_settings(hw.decompose_stabilizer_product(h, sub)))
                 if got != want:
                     failures.append(f"k-fold block n={n} T={sub}: got {got}, {source} {want}")
     for n in range(2, 7):

@@ -25,16 +25,15 @@ from hyperwit import (
     closed_form_E,
     closed_form_alpha,
     enumerate_bipartitions,
-    infinity_norm,
     is_permutation_invariant,
     lower_bound_check,
-    permute_vertices,
     predicted_gram,
     procedure_alpha,
     reduced_density_matrix,
     reduced_structure_check,
     schmidt,
 )
+from hyperwit import entanglement
 from hyperwit.cli import main
 from hyperwit.entanglement import _symmetric_layers, _weight_gram, _weight_infinity_norm
 
@@ -86,7 +85,7 @@ def test_svd_and_gram_paths_agree(h, pick):
 def test_entanglement_invariant_under_permutation(h, perm):
     perm = [p for p in perm if p <= h.n]
     a = alpha_multipartite(build_state(h)).alpha
-    b = alpha_multipartite(build_state(permute_vertices(h, perm))).alpha
+    b = alpha_multipartite(build_state(Hypergraph(h.n, oracles.permute_vertices(h.edges, perm)))).alpha
     assert abs(a - b) <= 1e-9
 
 
@@ -341,15 +340,6 @@ def test_lower_bound_requires_connected():
         lower_bound_check(canonicalize([[1, 2]], 3))
 
 
-def test_infinity_norm_matches_numpy():
-    rng = np.random.default_rng(5)
-    for _ in range(20):
-        m = rng.integers(-4, 5, size=(6, 6))
-        assert infinity_norm(m) == np.linalg.norm(m, np.inf)
-    with pytest.raises(ValueError):
-        infinity_norm(np.ones((2, 3)))
-
-
 def test_reduced_structure_known_values():
     rep = reduced_structure_check(Family.ALL_N_MINUS_1, 7, 3)
     assert rep.deviation == 0
@@ -415,6 +405,25 @@ def test_predicted_gram_equals_the_residual_sign_tables():
                 got = predicted_gram(fam, n, k)
                 assert got.dtype == np.int64, (fam, n, k)
                 assert np.array_equal(got, _residual_table_prediction(fam, n, k)), (fam, n, k)
+
+
+def test_predicted_gram_refuses_oversized_requests_before_allocating(monkeypatch):
+    # (all-n-1, 18, 1) would be a 2**17-square int64 matrix, 128 GiB
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=r"^predicted Gram would be 131072-square; capped at n - k <= 12 "):
+            predicted_gram(Family.ALL_N_MINUS_1, 18, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    with pytest.raises(ValueError, match=r"qubit count must lie in 1\.\.24"):
+        predicted_gram(Family.SINGLE_MAX_EDGE, 25, 20)
+    # the cap is the sweep's: n - k at the cap is built, one above it refused
+    monkeypatch.setattr(entanglement, "DEFAULT_SWEEP_LIMIT", 3)
+    assert predicted_gram(Family.ALL_N_MINUS_1, 5, 2).shape == (8, 8)
+    with pytest.raises(ValueError, match=r"^predicted Gram would be 16-square; capped at n - k <= 3 \(8-square\)$"):
+        predicted_gram(Family.ALL_N_MINUS_1, 5, 1)
 
 
 def test_reduced_structure_at_n24_builds_no_table():

@@ -15,7 +15,6 @@ from hyperwit import (
     LoccReductionError,
     LoccValidationError,
     StepKind,
-    bipartition_after_measurement,
     build_family,
     build_state,
     canonicalize,
@@ -98,13 +97,6 @@ def test_remove_non_crossing_keeps_target():
     kept, removed = remove_non_crossing(h, [1, 2], keep=(2, 3, 4))
     assert removed == ((1, 2), (3, 4))
     assert kept.edges == ((1, 2, 3, 4), (2, 3, 4))
-
-
-def test_bipartition_after_measurement():
-    bp = Bipartition.of(5, [1, 3, 5])
-    out = bipartition_after_measurement(bp, 3)
-    assert out is not None and out.n == 4 and out.part_a == (1, 4)
-    assert bipartition_after_measurement(Bipartition.of(2, [1]), 1) is None
 
 
 def test_reduce_drawn_instance_certifies_quarter():

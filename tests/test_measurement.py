@@ -19,15 +19,11 @@ from hyperwit import (
     canonical_settings,
     canonicalize,
     decompose_stabilizer_product,
-    exact_min_settings,
-    family_projector_count,
     greedy_min_settings,
-    product_setting_count,
     projector_strings,
     projector_witness,
     stabilizer_strings,
     stabilizer_witness,
-    witness_setting_count,
     witness_settings,
 )
 from hyperwit import measurement, states
@@ -98,7 +94,7 @@ def test_greedy_falls_back_to_canonical_when_first_fit_loses():
     strs = [PauliString(p, Fraction(1)) for p in ("IX", "XI", "XZ", "ZX")]
     assert canonical_settings(strs) == ("XZ", "ZX")
     assert greedy_min_settings(strs) == ("XZ", "ZX")
-    assert exact_min_settings(strs) == ("XZ", "ZX")
+    assert oracles.exact_min_settings(s.letters for s in strs) == ("XZ", "ZX")
 
 
 def test_greedy_can_merge_below_canonical():
@@ -112,15 +108,15 @@ def test_greedy_can_merge_below_canonical():
 @settings(max_examples=40)
 def test_greedy_never_exceeds_canonical(h):
     spec = projector_witness(h)
-    c = witness_setting_count(spec, SettingMode.CANONICAL)
-    g = witness_setting_count(spec, SettingMode.GREEDY)
+    c = len(witness_settings(spec, SettingMode.CANONICAL))
+    g = len(witness_settings(spec, SettingMode.GREEDY))
     assert g <= c
 
 
 def test_exact_min_is_a_lower_bound_on_tiny_inputs():
     g2 = build_family(Family.SINGLE_MAX_EDGE, 2)
     strs = [s for block in projector_strings(g2) for s in block]
-    exact = exact_min_settings(strs)
+    exact = oracles.exact_min_settings(s.letters for s in strs)
     assert len(exact) == 3
     assert set(exact) == {"XZ", "YY", "ZX"}
     assert len(exact) <= len(greedy_min_settings(strs))
@@ -129,11 +125,10 @@ def test_exact_min_is_a_lower_bound_on_tiny_inputs():
 def test_projector_witness_counts():
     # truth diverges from the coarser closed form at n=2: YY measures the
     # full two-qubit product in one setting, not two
-    assert witness_setting_count(projector_witness(build_family(Family.SINGLE_MAX_EDGE, 2))) == 3
+    assert len(witness_settings(projector_witness(build_family(Family.SINGLE_MAX_EDGE, 2)))) == 3
     for n in range(3, 7):
         spec = projector_witness(build_family(Family.SINGLE_MAX_EDGE, n))
-        assert witness_setting_count(spec) == family_projector_count(n)
-    assert [family_projector_count(n) for n in range(2, 7)] == [4, 13, 40, 121, 364]
+        assert len(witness_settings(spec)) == (3**n - 1) // 2
 
 
 def test_stabilizer_witness_settings_are_one_per_qubit():
@@ -151,9 +146,9 @@ def test_settings_per_product_match_block_sizes():
         h = build_family(Family.SINGLE_MAX_EDGE, n)
         for k in range(1, n + 1):
             for sub in combinations(range(1, n + 1), k):
-                assert product_setting_count(h, sub) == 1 << (k - 1)
+                assert len(canonical_settings(decompose_stabilizer_product(h, sub))) == 1 << (k - 1)
     # the two-qubit exception again
-    assert product_setting_count(build_family(Family.SINGLE_MAX_EDGE, 2), (1, 2)) == 1
+    assert len(canonical_settings(decompose_stabilizer_product(build_family(Family.SINGLE_MAX_EDGE, 2), (1, 2)))) == 1
 
 
 def test_projector_strings_stream_all_subsets():
@@ -421,11 +416,11 @@ def test_projector_settings_stay_in_bounded_memory():
     spec = projector_witness(build_family(Family.ALL_N_MINUS_1, 10))
     tracemalloc.start()
     try:
-        count = witness_setting_count(spec)
+        count = len(witness_settings(spec))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert count == family_projector_count(10)
+    assert count == (3**10 - 1) // 2
     # the 29524 setting strings take about 2 MiB; the whole (subsets, 2**n) table would add 8 MiB
     assert peak < 4 << 20, peak
 

@@ -1,3 +1,4 @@
+import json
 import random
 import tracemalloc
 from fractions import Fraction
@@ -25,13 +26,12 @@ from hyperwit import (
     extract_hypergraph,
     is_permutation_invariant,
     overlap,
-    permute_vertices,
-    plus_state,
     projector_identity_check,
 )
+from hyperwit import states
+from hyperwit.cli import main
 from hyperwit.states import (
     _bit_pattern,
-    dense_stabilizer,
     label_bit,
     label_of_vertices,
     stabilizer_diagonal,
@@ -64,7 +64,7 @@ def test_bit_pattern_matches_brute_force():
 
 
 def test_plus_state_has_no_signs():
-    st5 = plus_state(5)
+    st5 = SignState(5, 0)
     assert st5.neg == 0
     assert st5.sign(17) == 1
 
@@ -93,7 +93,7 @@ def test_controlled_z_involution(h):
 
 @given(hypergraphs(max_n=6))
 def test_controlled_z_matches_dense(h):
-    s = plus_state(h.n)
+    s = SignState(h.n, 0)
     for e in h.edges:
         s = apply_controlled_z(s, e)
     assert np.array_equal(s.amplitudes(), oracles.dense_state(h.n, h.edges))
@@ -130,7 +130,7 @@ def test_stabilizers_fix_state(h):
 def test_apply_stabilizer_matches_dense(h, vertex):
     if vertex > h.n:
         return
-    s = plus_state(h.n)
+    s = SignState(h.n, 0)
     for e in h.edges:
         s = apply_controlled_z(s, e)
     s = apply_z(s, 1)  # any diagonal state, not just eigenvectors
@@ -139,11 +139,19 @@ def test_apply_stabilizer_matches_dense(h, vertex):
     assert np.array_equal(moved, ref)
 
 
+def _dense_stabilizer(h, vertex):
+    # K_v sends |x> to d(x) |x ^ bit>, d the vertex's controlled-Z diagonal
+    xs = np.arange(1 << h.n)
+    k = np.zeros((1 << h.n, 1 << h.n), dtype=np.int64)
+    k[xs ^ (1 << label_bit(h.n, vertex)), xs] = stabilizer_diagonal(h, vertex)
+    return k
+
+
 def test_dense_stabilizer_matches_oracle():
     h = canonicalize([[1], [1, 2], [2, 3, 4]], 4)
     for i in range(1, 5):
         assert np.array_equal(
-            dense_stabilizer(h, i), oracles.stabilizer_matrix(h.n, h.edges, i)
+            _dense_stabilizer(h, i), oracles.stabilizer_matrix(h.n, h.edges, i)
         )
 
 
@@ -151,8 +159,8 @@ def test_stabilizer_diagonal_products_commute():
     h = canonicalize([[1, 2], [2, 3], [1, 2, 3]], 3)
     d12 = stabilizer_product_diagonal(h, (1, 2))
     # K_1 K_2 applied in either order gives the same operator
-    m1 = dense_stabilizer(h, 1) @ dense_stabilizer(h, 2)
-    m2 = dense_stabilizer(h, 2) @ dense_stabilizer(h, 1)
+    m1 = _dense_stabilizer(h, 1) @ _dense_stabilizer(h, 2)
+    m2 = _dense_stabilizer(h, 2) @ _dense_stabilizer(h, 1)
     assert np.array_equal(m1, m2)
     # and matches the X-shift of the packed diagonal
     n = h.n
@@ -172,6 +180,17 @@ def test_stabilizer_diagonal_single_vertex_edge():
 @given(hypergraphs(max_n=6))
 def test_projector_identity_exact(h):
     assert projector_identity_check(h) == 0.0
+
+
+def test_projector_identity_check_catches_a_corrupted_stabilizer(monkeypatch, capsys):
+    link_mask = states._link_mask
+    # flip one label of vertex 1's edge-built stabilizer; the sign table stays right
+    monkeypatch.setattr(states, "_link_mask", lambda h, v: link_mask(h, v) ^ ((v == 1) << 3))
+    assert projector_identity_check(build_family(Family.ALL_N_MINUS_1, 4)) == 0.125
+    assert projector_identity_check(canonicalize([[1, 2], [2, 3, 4], [5]], 5)) == 0.0625
+    code = main(["verify", "projector", "--family", "all-n-1", "--n", "4"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().out)["ok"] is False
 
 
 def test_basis_orthonormal_small():
@@ -197,11 +216,11 @@ def test_basis_state_accepts_string_and_sequence():
 
 def test_overlap_exact_values():
     a = build_state(build_family(Family.SINGLE_MAX_EDGE, 2))
-    b = plus_state(2)
+    b = SignState(2, 0)
     assert overlap(a, b) == Fraction(1, 2)
     assert overlap(a, a) == 1
     with pytest.raises(ValueError):
-        overlap(a, plus_state(3))
+        overlap(a, SignState(3, 0))
 
 
 @given(hypergraphs(max_n=6))
@@ -230,7 +249,8 @@ def test_permutation_invariance():
 @given(hypergraphs(max_n=5))
 def test_permutation_invariance_matches_every_relabeling(h):
     state = build_state(h)
-    want = all(build_state(permute_vertices(h, perm)) == state for perm in permutations(range(1, h.n + 1)))
+    relabelled = (Hypergraph(h.n, oracles.permute_vertices(h.edges, p)) for p in permutations(h.vertices()))
+    want = all(build_state(g) == state for g in relabelled)
     assert is_permutation_invariant(state) == want
 
 
