@@ -10,6 +10,9 @@ from .entanglement import DEFAULT_SWEEP_LIMIT, lower_bound_check
 from .hypergraph import Hypergraph, canonicalize, enumerate_bipartitions, is_connected
 from .locc import ORACLE_LIMIT, reduce as locc_reduce
 
+# Draws per random_connected_hypergraph call before it gives up.
+MAX_TRIES = 500
+
 
 @dataclass(frozen=True)
 class CampaignRow:
@@ -48,7 +51,7 @@ class ReductionAuditReport:
     all_validated: bool
 
 
-def random_connected_hypergraph(n: int, rng: random.Random, *, max_tries: int = 500) -> Hypergraph:
+def random_connected_hypergraph(n: int, rng: random.Random) -> Hypergraph:
     """Sample edge lists until the XOR-canonical form is connected.
 
     Cardinalities run from 2 to n, so cancellation can empty the edge set;
@@ -56,7 +59,7 @@ def random_connected_hypergraph(n: int, rng: random.Random, *, max_tries: int = 
     """
     if n < 2:
         raise ValueError("need n >= 2")
-    for _ in range(max_tries):
+    for _ in range(MAX_TRIES):
         raw = []
         for _ in range(rng.randint(max(1, n - 1), 2 * n)):
             k = rng.randint(2, n)
@@ -64,7 +67,7 @@ def random_connected_hypergraph(n: int, rng: random.Random, *, max_tries: int = 
         h = canonicalize(raw, n)
         if h.edges and is_connected(h):
             return h
-    raise RuntimeError(f"no connected sample found in {max_tries} tries at n={n}")
+    raise RuntimeError(f"no connected sample found in {MAX_TRIES} tries at n={n}")
 
 
 def _check_sizes(count: int, max_n: int, cap: int, cap_name: str) -> None:

@@ -71,10 +71,6 @@ class Hypergraph:
         if tuple(sorted(self.edges)) != self.edges:
             raise ValueError("edges must be sorted lexicographically")
 
-    @property
-    def edge_set(self) -> frozenset[Edge]:
-        return frozenset(self.edges)
-
     def vertices(self) -> range:
         return range(1, self.n + 1)
 

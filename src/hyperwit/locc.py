@@ -223,7 +223,6 @@ def reduce(
     *,
     validate: bool | None = None,
     keep_branches: bool | None = None,
-    budget_factor: int = BUDGET_FACTOR,
 ) -> ReductionCertificate:
     """Run the full reduction for one cut and certify a lower bound.
 
@@ -241,7 +240,7 @@ def reduce(
         raise LoccReductionError("no crossing edge to reduce")
     validate = _should_validate(h.n, validate)
     keep = keep_branches if keep_branches is not None else h.n <= ORACLE_LIMIT
-    budget = budget_factor * h.n * (1 << h.n)
+    budget = BUDGET_FACTOR * h.n * (1 << h.n)
     counter = 0
     branches: list[BranchRecord] = []
     worst = 0

@@ -1,5 +1,10 @@
 """Exact Pauli decomposition of stabilizer products and setting counts.
 
+Two public routes leave this module: `decompose_stabilizer_product` gives
+the strings of one product, and `witness_settings` gives the settings of a
+witness, from the n single stabilizers or all 2**n - 1 nonempty products.
+Both run on the same stacked engine.
+
 A product of stabilizers over a vertex subset T equals (X on every T
 vertex) times a +-1 diagonal d_T, so its Pauli strings carry X-part exactly
 T. The string weights come from the Walsh-Hadamard transform W of d_T, in
@@ -24,7 +29,7 @@ sets z |= ~x. For n <= DENSE_VALIDATE_LIMIT every chunk is summed back into
 (subsets, 2**n, 2**n) Gaussian-integer matrices, numerator times a power of
 i tracked mod 4 qubit by qubit from the codes, and compared for equality
 with 2**n times the dense products. PauliString objects and letter strings
-are built only for the public API and for the final settings.
+are built only for decompose_stabilizer_product and for the final settings.
 
 A measurement setting assigns one of X, Y, Z per qubit; a string is
 measurable in a setting that matches all its non-identity letters. The
@@ -44,7 +49,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from itertools import combinations
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -66,8 +70,6 @@ _CHUNK_ENTRIES = 1 << 14
 
 _LETTERS = "IXYZ"
 _LETTER_BYTES = np.frombuffer(_LETTERS.encode(), dtype=np.uint8)
-_CODE_OF_BYTE = np.zeros(256, dtype=np.uint8)
-_CODE_OF_BYTE[_LETTER_BYTES] = np.arange(4)
 # Symplectic bits of each code (X-part x, Z-part z).
 _X_BIT = np.array([0, 1, 1, 0])
 _Z_BIT = np.array([0, 0, 1, 1])
@@ -100,10 +102,6 @@ class PauliString:
     @property
     def y_count(self) -> int:
         return self.letters.count("Y")
-
-    def setting(self) -> str:
-        """Canonical completion: measure Z wherever the string is identity."""
-        return self.letters.replace("I", "Z")
 
 
 def _shifts(n: int) -> np.ndarray:
@@ -209,12 +207,6 @@ def _chunk_strings(n: int, labels: np.ndarray, diagonals: np.ndarray, validate: 
     return x, z, numerators
 
 
-def _expand(h: Hypergraph, labels: np.ndarray, validate: bool) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
-    """(x, z, numerators) of each chunk of the given subsets."""
-    for chunk in _chunks(h, labels, validate):
-        yield _chunk_strings(h.n, *chunk, validate, signed=True)
-
-
 def _chunk_keys(n: int, labels: np.ndarray, diagonals: np.ndarray, validate: bool, complete: bool) -> np.ndarray:
     """Keys of the strings of a chunk, completed or not; a chunk's strings
     are freed before the next chunk is expanded."""
@@ -248,11 +240,6 @@ def _chunks(h: Hypergraph, labels: np.ndarray, validate: bool) -> Iterator[tuple
         yield part, signs[part[:, None] ^ xs] * signs
 
 
-def _all_subsets(n: int) -> Iterator[tuple[int, ...]]:
-    for size in range(1, n + 1):
-        yield from combinations(range(1, n + 1), size)
-
-
 def _letters(codes: np.ndarray) -> list[str]:
     n = codes.shape[1]
     text = _LETTER_BYTES[codes].tobytes().decode("ascii")
@@ -262,21 +249,6 @@ def _letters(codes: np.ndarray) -> list[str]:
 def _pauli_strings(n: int, x: np.ndarray, z: np.ndarray, numerators: np.ndarray) -> tuple[PauliString, ...]:
     letters = _letters(_bits(_keys(x, z, n), n, 2))
     return tuple(PauliString(p, Fraction(w, 1 << n)) for p, w in zip(letters, numerators.tolist()))
-
-
-def _string_masks(strings: Iterable[PauliString]) -> tuple[np.ndarray, np.ndarray, int]:
-    """(x, z, n) of public strings; identity strings are rejected."""
-    letters = [s.letters for s in strings]
-    if not letters:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64), 1
-    n = len(letters[0])
-    if any(len(p) != n for p in letters):
-        raise ValueError("strings act on different qubit counts")
-    codes = _CODE_OF_BYTE[np.frombuffer("".join(letters).encode(), dtype=np.uint8)].reshape(-1, n)
-    if not codes.any(axis=1).all():
-        raise ValueError("identity string carries no measurement setting")
-    place = 1 << _shifts(n)
-    return _X_BIT[codes] @ place, _Z_BIT[codes] @ place, n
 
 
 def _sorted_keys(blocks: Iterable[np.ndarray], n: int) -> np.ndarray:
@@ -329,60 +301,16 @@ def _stabilizer_settings(n: int) -> tuple[str, ...]:
     return tuple("Z" * (i - 1) + "X" + "Z" * (n - i) for i in range(1, n + 1))
 
 
-def decompose_stabilizer_product(
-    h: Hypergraph, subset: Iterable[int], *, validate: bool | None = None
-) -> tuple[PauliString, ...]:
+def decompose_stabilizer_product(h: Hypergraph, subset: Iterable[int]) -> tuple[PauliString, ...]:
     """Exact Pauli expansion of the ordered stabilizer product over a subset."""
     vs = tuple(sorted(set(subset)))
     if not vs:
         raise ValueError("subset must be nonempty")
     if vs[0] < 1 or vs[-1] > h.n:
         raise ValueError(f"subset {vs} outside 1..{h.n}")
-    check = bool(validate or (validate is None and h.n <= DENSE_VALIDATE_LIMIT))
-    ((x, z, numerators),) = _expand(h, np.array([label_of_vertices(h.n, vs)]), check)
-    return _pauli_strings(h.n, x, z, numerators)
-
-
-def stabilizer_strings(h: Hypergraph) -> tuple[PauliString, ...]:
-    """Strings of all n single stabilizers, concatenated in vertex order."""
     validate = h.n <= DENSE_VALIDATE_LIMIT
-    return tuple(
-        s
-        for x, z, numerators in _expand(h, _singletons(h.n), validate)
-        for s in _pauli_strings(h.n, x, z, numerators)
-    )
-
-
-def projector_strings(h: Hypergraph) -> Iterator[tuple[PauliString, ...]]:
-    """Expansion of every nonempty stabilizer-subset product, one block each.
-
-    Together with the identity these average to 2**n times the projector
-    onto the state; the identity term carries no measurement cost and is
-    not emitted. Blocks come in order of subset size, then lexicographic.
-    """
-    validate = h.n <= DENSE_VALIDATE_LIMIT
-    x, z, numerators = map(np.concatenate, zip(*_expand(h, np.arange(1, 1 << h.n), validate)))
-    for vs in _all_subsets(h.n):
-        label = label_of_vertices(h.n, vs)
-        block = slice(np.searchsorted(x, label), np.searchsorted(x, label, side="right"))
-        yield _pauli_strings(h.n, x[block], z[block], numerators[block])
-
-
-def canonical_settings(strings: Iterable[PauliString]) -> tuple[str, ...]:
-    """Distinct identity-to-Z completions, sorted."""
-    x, z, n = _string_masks(strings)
-    return _settings(_sorted_keys([_keys(x, z, n, complete=True)], n), n)
-
-
-def greedy_min_settings(strings: Iterable[PauliString]) -> tuple[str, ...]:
-    """First-fit merge of compatible strings into settings.
-
-    Two strings are compatible when they agree wherever both are non-I.
-    Falls back to the canonical grouping in the rare case first-fit
-    fragments worse than it.
-    """
-    x, z, n = _string_masks(strings)
-    return _first_fit(_sorted_keys([_keys(x, z, n)], n), n)
+    (chunk,) = _chunks(h, np.array([label_of_vertices(h.n, vs)]), validate)
+    return _pauli_strings(h.n, *_chunk_strings(h.n, *chunk, validate, signed=True))
 
 
 def witness_settings(

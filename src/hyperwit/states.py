@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -186,28 +186,14 @@ def apply_stabilizer(state: SignState, h: Hypergraph, vertex: int) -> SignState:
     return apply_x(SignState(h.n, state.neg ^ _link_mask(h, vertex)), vertex)
 
 
-def _parse_label(n: int, s: int | str | Sequence[int]) -> int:
-    if isinstance(s, str):
-        if len(s) != n or set(s) - {"0", "1"}:
-            raise ValueError(f"label string must be {n} bits, got {s!r}")
-        return int(s, 2)
-    if isinstance(s, int):
-        if not 0 <= s < (1 << n):
-            raise ValueError(f"label {s} outside [0, 2**{n})")
-        return s
-    bits = list(s)
-    if len(bits) != n or set(bits) - {0, 1}:
-        raise ValueError("label sequence must hold n bits")
-    return int("".join(str(b) for b in bits), 2)
-
-
-def basis_state(h: Hypergraph, s: int | str | Sequence[int]) -> SignState:
+def basis_state(h: Hypergraph, s: int) -> SignState:
     """Member s of the orthonormal basis generated by local Z flips on the
     edge state: apply Z on every vertex whose bit of s is set."""
-    label = _parse_label(h.n, s)
+    if not 0 <= s < (1 << h.n):
+        raise ValueError(f"label {s} outside [0, 2**{h.n})")
     state = build_state(h)
     neg = state.neg
-    for v in vertices_of_label(h.n, label):
+    for v in vertices_of_label(h.n, s):
         neg ^= _bit_pattern(h.n, label_bit(h.n, v))
     return SignState(h.n, neg)
 
@@ -260,26 +246,6 @@ def stabilizer_diagonal(h: Hypergraph, vertex: int) -> np.ndarray:
     return SignState(h.n, _link_mask(h, vertex)).signs().astype(np.int64)
 
 
-def stabilizer_product_diagonal(h: Hypergraph, subset: Iterable[int]) -> np.ndarray:
-    """Diagonal factor of the ordered product of the subset's stabilizers.
-
-    The product equals (X on every subset vertex) times this diagonal; the
-    X parts commute past each diagonal by permuting its argument, which is
-    what the running suffix mask accounts for.
-    """
-    vs = sorted(set(subset))
-    if not vs:
-        raise ValueError("subset must be nonempty")
-    dim = 1 << h.n
-    xs = np.arange(dim)
-    d = np.ones(dim, dtype=np.int64)
-    suffix = 0
-    for v in reversed(vs):
-        d = d * stabilizer_diagonal(h, v)[xs ^ suffix]
-        suffix |= 1 << label_bit(h.n, v)
-    return d
-
-
 def projector_identity_check(h: Hypergraph, *, dense_limit: int = DENSE_LIMIT) -> float:
     """Compare 2**n |H><H| against both product and group-average forms.
 
@@ -295,21 +261,22 @@ def projector_identity_check(h: Hypergraph, *, dense_limit: int = DENSE_LIMIT) -
     signs = build_state(h).signs().astype(np.int64)
     outer = np.outer(signs, signs)
 
+    diagonals = [stabilizer_diagonal(h, v) for v in h.vertices()]
+
     # K_v maps column x to row x ^ bit with factor d(x), so K_v @ prod is the
     # rows of d[:, None] * prod permuted by x -> x ^ bit
     prod = np.eye(dim, dtype=np.int64)
-    for v in h.vertices():
-        d = stabilizer_diagonal(h, v)
+    for v, d in zip(h.vertices(), diagonals):
         prod = prod + (d[:, None] * prod)[xs ^ (1 << label_bit(h.n, v))]
 
-    group_sum = np.zeros((dim, dim), dtype=np.int64)
-    for mask in range(1 << h.n):
-        subset = [v for v in h.vertices() if (mask >> (v - 1)) & 1]
-        if subset:
-            tmask = label_of_vertices(h.n, subset)
-            group_sum[xs ^ tmask, xs] += stabilizer_product_diagonal(h, subset)
-        else:
-            group_sum[xs, xs] += 1
+    # Row T of `products` is the diagonal d_T of K_v1 K_v2 ... K_vk over T's
+    # vertices v1 < ... < vk, which maps column x to row x ^ T. Peeling v1,
+    # the owner of T's highest label bit: d_T(x) = d_rest(x) * d_v1(x ^ rest).
+    products = np.ones((dim, dim), dtype=np.int64)
+    for t in range(1, dim):
+        rest = t ^ (1 << (t.bit_length() - 1))
+        products[t] = products[rest] * diagonals[h.n - t.bit_length()][xs ^ rest]
+    group_sum = products[xs[:, None] ^ xs, xs]
 
     dev = max(np.abs(outer - prod).max(), np.abs(outer - group_sum).max())
     return float(dev) / dim

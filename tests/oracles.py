@@ -5,6 +5,7 @@ are explicit matrices, reductions go through reshape/transpose. Vertex v owns
 bit n-v of the basis label, so vertex 1 is the most significant bit.
 """
 
+from functools import lru_cache
 from itertools import combinations
 
 import numpy as np
@@ -63,6 +64,26 @@ def stabilizer_matrix(n: int, edges, vertex: int) -> np.ndarray:
         else:
             m = -m
     return m
+
+
+@lru_cache(maxsize=16)
+def _frozen_stabilizer_matrix(n: int, edges, vertex: int) -> np.ndarray:
+    m = stabilizer_matrix(n, edges, vertex)
+    m.flags.writeable = False
+    return m
+
+
+def product_diagonal(n: int, edges, vertices) -> np.ndarray:
+    """Diagonal d_T of the ordered product K_v1 K_v2 ... over the vertices,
+    read off the dense product, which maps column x to row x ^ T."""
+    edges = tuple(map(tuple, edges))
+    m = np.eye(1 << n)
+    t = 0
+    for v in vertices:
+        m = m @ _frozen_stabilizer_matrix(n, edges, v)
+        t |= 1 << (n - v)
+    xs = np.arange(1 << n)
+    return m[xs ^ t, xs].astype(np.int64)
 
 
 def pauli_matrix(letters: str) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 
 from hyperwit import SignState, parse_hypergraph, reduction_audit
 from hyperwit.cli import build_parser, main
-from hyperwit.serialize import SCHEMAS
+from schemas import SCHEMAS
 
 DRAWN_EDGES = "[[1,2],[3,4],[3,4,5],[2,3,4,5]]"
 

@@ -3,14 +3,18 @@ import hyperwit
 REMOVED = (
     "bipartition_after_measurement",
     "biseparable_audit",
+    "canonical_settings",
     "dense_expectation",
     "detect_family",
     "exact_min_settings",
     "family_projector_count",
+    "greedy_min_settings",
     "infinity_norm",
     "permute_vertices",
     "plus_state",
     "product_setting_count",
+    "projector_strings",
+    "stabilizer_strings",
     "witness_setting_count",
 )
 

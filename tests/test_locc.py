@@ -152,10 +152,11 @@ def test_reduce_requires_connected_matching_cut():
         locc_reduce(canonicalize([[1, 2]], 2), Bipartition.of(3, [1]))
 
 
-def test_reduce_budget_cuts_off_runaway_exploration():
+def test_reduce_budget_cuts_off_runaway_exploration(monkeypatch):
+    monkeypatch.setattr(locc, "BUDGET_FACTOR", 0)
     h = build_family(Family.ALL_GE_N_MINUS_1, 6)
     with pytest.raises(LoccReductionError):
-        locc_reduce(h, Bipartition.of(6, [1]), budget_factor=0)
+        locc_reduce(h, Bipartition.of(6, [1]))
 
 
 @given(nonempty_hypergraphs(min_n=2, max_n=6, min_edge=2), st.integers(0, 62))

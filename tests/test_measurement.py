@@ -16,20 +16,16 @@ from hyperwit import (
     SettingMode,
     WitnessKind,
     build_family,
-    canonical_settings,
     canonicalize,
     decompose_stabilizer_product,
-    greedy_min_settings,
-    projector_strings,
     projector_witness,
-    stabilizer_strings,
     stabilizer_witness,
     witness_settings,
 )
 from hyperwit import measurement, states
 from hyperwit.campaign import random_connected_hypergraph
 from hyperwit.measurement import _exact_sum, _keys
-from hyperwit.states import SignState, build_state, stabilizer_product_diagonal, vertices_of_label
+from hyperwit.states import SignState, build_state, vertices_of_label
 
 
 def test_two_qubit_decompositions():
@@ -79,29 +75,21 @@ def test_every_emitted_string_has_even_y_count(h, data):
 
 def test_pauli_string_setting_completion():
     s = PauliString("IXZI", Fraction(1, 2))
-    assert s.setting() == "ZXZZ"
     assert s.y_count == 0
 
 
-def test_canonical_settings_sorted_and_deduped():
-    strs = [PauliString(p, Fraction(1)) for p in ("XI", "IX", "XX", "IZ")]
-    assert canonical_settings(strs) == ("XX", "XZ", "ZX", "ZZ")
-    with pytest.raises(ValueError):
-        canonical_settings([PauliString("II", Fraction(1))])
-
-
 def test_greedy_falls_back_to_canonical_when_first_fit_loses():
-    strs = [PauliString(p, Fraction(1)) for p in ("IX", "XI", "XZ", "ZX")]
-    assert canonical_settings(strs) == ("XZ", "ZX")
-    assert greedy_min_settings(strs) == ("XZ", "ZX")
-    assert oracles.exact_min_settings(s.letters for s in strs) == ("XZ", "ZX")
+    patterns = ("IX", "XI", "XZ", "ZX")
+    assert _reference_settings(patterns, SettingMode.CANONICAL) == ("XZ", "ZX")
+    assert _first_fit(patterns) == ("XZ", "ZX")
+    assert oracles.exact_min_settings(patterns) == ("XZ", "ZX")
 
 
 def test_greedy_can_merge_below_canonical():
     # per-string completion keeps XI and IZ apart; first-fit shares one setting
-    strs = [PauliString(p, Fraction(1)) for p in ("XI", "IZ")]
-    assert canonical_settings(strs) == ("XZ", "ZZ")
-    assert greedy_min_settings(strs) == ("XZ",)
+    patterns = ("XI", "IZ")
+    assert _reference_settings(patterns, SettingMode.CANONICAL) == ("XZ", "ZZ")
+    assert _first_fit(patterns) == ("XZ",)
 
 
 @given(nonempty_hypergraphs(min_n=2, max_n=6, min_edge=2))
@@ -115,11 +103,10 @@ def test_greedy_never_exceeds_canonical(h):
 
 def test_exact_min_is_a_lower_bound_on_tiny_inputs():
     g2 = build_family(Family.SINGLE_MAX_EDGE, 2)
-    strs = [s for block in projector_strings(g2) for s in block]
-    exact = oracles.exact_min_settings(s.letters for s in strs)
+    exact = oracles.exact_min_settings(s.letters for s in _witness_strings(projector_witness(g2)))
     assert len(exact) == 3
     assert set(exact) == {"XZ", "YY", "ZX"}
-    assert len(exact) <= len(greedy_min_settings(strs))
+    assert len(exact) <= len(witness_settings(projector_witness(g2), SettingMode.GREEDY))
 
 
 def test_projector_witness_counts():
@@ -138,7 +125,7 @@ def test_stabilizer_witness_settings_are_one_per_qubit():
         got = witness_settings(spec, SettingMode.CANONICAL)
         want = tuple(sorted("Z" * (i - 1) + "X" + "Z" * (n - i) for i in range(1, n + 1)))
         assert got == want
-        assert len(stabilizer_strings(h)) == (n * (1 << (n - 1)) if n >= 3 else 2)
+        assert len(_stabilizer_strings(h)) == (n * (1 << (n - 1)) if n >= 3 else 2)
 
 
 def test_settings_per_product_match_block_sizes():
@@ -146,15 +133,9 @@ def test_settings_per_product_match_block_sizes():
         h = build_family(Family.SINGLE_MAX_EDGE, n)
         for k in range(1, n + 1):
             for sub in combinations(range(1, n + 1), k):
-                assert len(canonical_settings(decompose_stabilizer_product(h, sub))) == 1 << (k - 1)
+                assert len(_canonical(decompose_stabilizer_product(h, sub))) == 1 << (k - 1)
     # the two-qubit exception again
-    assert len(canonical_settings(decompose_stabilizer_product(build_family(Family.SINGLE_MAX_EDGE, 2), (1, 2)))) == 1
-
-
-def test_projector_strings_stream_all_subsets():
-    h = canonicalize([[1, 2], [2, 3]], 3)
-    blocks = list(projector_strings(h))
-    assert len(blocks) == (1 << h.n) - 1
+    assert len(_canonical(decompose_stabilizer_product(build_family(Family.SINGLE_MAX_EDGE, 2), (1, 2)))) == 1
 
 
 def test_symbolic_cap_enforced():
@@ -293,13 +274,34 @@ def test_greedy_matches_letter_first_fit():
         for spec in (projector_witness(h), stabilizer_witness(h)):
             patterns = sorted({s.letters for s in _witness_strings(spec)})
             assert witness_settings(spec, SettingMode.GREEDY) == _letter_first_fit(patterns)
-            assert witness_settings(spec, SettingMode.CANONICAL) == canonical_settings(_witness_strings(spec))
+            assert witness_settings(spec, SettingMode.CANONICAL) == _reference_settings(patterns, SettingMode.CANONICAL)
+
+
+def _projector_strings(h):
+    """Expansion of every nonempty subset product, one block each, by subset
+    size, then lexicographic."""
+    return [decompose_stabilizer_product(h, vs) for k in range(1, h.n + 1) for vs in combinations(h.vertices(), k)]
+
+
+def _stabilizer_strings(h):
+    """Strings of the n single stabilizers, concatenated in vertex order."""
+    return tuple(s for v in h.vertices() for s in decompose_stabilizer_product(h, (v,)))
 
 
 def _witness_strings(spec):
     if spec.kind is WitnessKind.PROJECTOR:
-        return [s for block in projector_strings(spec.hypergraph) for s in block]
-    return list(stabilizer_strings(spec.hypergraph))
+        return [s for block in _projector_strings(spec.hypergraph) for s in block]
+    return list(_stabilizer_strings(spec.hypergraph))
+
+
+def _canonical(strings):
+    return _reference_settings([s.letters for s in strings], SettingMode.CANONICAL)
+
+
+def _first_fit(patterns):
+    """measurement._first_fit on the sorted distinct keys of letter strings."""
+    keys = sorted({int("".join(str("IXYZ".index(c)) for c in p), 4) for p in patterns})
+    return measurement._first_fit(np.array(keys, dtype=np.int64), len(patterns[0]))
 
 
 def _connected(n, seed):
@@ -317,28 +319,26 @@ def _reference_settings(patterns, mode):
 def test_stacked_engine_matches_one_subset_batches(n):
     for seed in range(2 if n <= 6 else 1):
         h = _connected(n, seed)
-        blocks = list(projector_strings(h))
-        assert blocks == [decompose_stabilizer_product(h, vs) for vs in measurement._all_subsets(n)]
-        singles = stabilizer_strings(h)
-        assert singles == tuple(s for v in h.vertices() for s in decompose_stabilizer_product(h, (v,)))
-        for spec, strings in ((projector_witness(h), [s for b in blocks for s in b]), (stabilizer_witness(h), singles)):
-            patterns = [s.letters for s in strings]
+        for spec in (projector_witness(h), stabilizer_witness(h)):
+            patterns = [s.letters for s in _witness_strings(spec)]
             canonical = _reference_settings(patterns, SettingMode.CANONICAL)
-            assert witness_settings(spec, SettingMode.CANONICAL) == canonical_settings(strings) == canonical
+            assert witness_settings(spec, SettingMode.CANONICAL) == canonical
             # the letter-by-letter first-fit takes tens of seconds on the projector strings at n = 8
-            greedy = greedy_min_settings(strings)
-            assert witness_settings(spec, SettingMode.GREEDY) == greedy, (h, spec.kind)
+            greedy = witness_settings(spec, SettingMode.GREEDY)
             if len(patterns) <= 2000:
                 assert greedy == _reference_settings(patterns, SettingMode.GREEDY), (h, spec.kind)
+            else:
+                assert greedy == _first_fit(patterns), (h, spec.kind)
 
 
 @pytest.mark.parametrize("entries", [1, 1 << 9, 1 << 12])
 def test_chunking_does_not_change_the_expansion(monkeypatch, entries):
     # small budgets split the subsets into many chunks, down to one subset each
     hs = [_connected(n, 0) for n in (3, 5, 7)]
-    want = [(list(projector_strings(h)), stabilizer_strings(h)) for h in hs]
+    specs = [spec for h in hs for spec in (projector_witness(h), stabilizer_witness(h))]
+    want = [witness_settings(spec, mode) for spec in specs for mode in SettingMode]
     monkeypatch.setattr(measurement, "_CHUNK_ENTRIES", entries)
-    assert [(list(projector_strings(h)), stabilizer_strings(h)) for h in hs] == want
+    assert [witness_settings(spec, mode) for spec in specs for mode in SettingMode] == want
 
 
 @pytest.mark.parametrize("validate", [False, True])
@@ -354,7 +354,7 @@ def test_subset_chunks_hold_every_product_diagonal(monkeypatch, validate):
         assert labels.tolist() == list(range(1, 1 << n))
         for label, diagonal in zip(labels.tolist(), np.concatenate([c[1] for c in chunks])):
             vs = vertices_of_label(n, label)
-            assert np.array_equal(diagonal, stabilizer_product_diagonal(h, vs)), (h, vs)
+            assert np.array_equal(diagonal, oracles.product_diagonal(n, h.edges, vs)), (h, vs)
 
 
 @pytest.mark.parametrize("mode", list(SettingMode))
@@ -394,7 +394,7 @@ def test_keys_follow_letter_order_beyond_one_byte():
 def test_canonical_stabilizer_settings_from_n_alone(n):
     for seed in range(3):
         h = _connected(n, seed)
-        want = canonical_settings(stabilizer_strings(h))
+        want = _canonical(_stabilizer_strings(h))
         assert measurement._stabilizer_settings(n) == want
         assert witness_settings(stabilizer_witness(h)) == want
 
