@@ -50,7 +50,7 @@ def build_parser() -> argparse.ArgumentParser:
     out.add_argument("--out", default=None)
     instance = argparse.ArgumentParser(add_help=False)
     source = instance.add_mutually_exclusive_group()
-    source.add_argument("--family", choices=[f.cli_name for f in Family], default=None)
+    source.add_argument("--family", choices=[f.value for f in Family], default=None)
     source.add_argument("--edges", default=None, help='JSON edge list, e.g. "[[1,2],[2,3]]"')
     instance.add_argument("--n", type=int, default=None)
     sweep = argparse.ArgumentParser(add_help=False)
@@ -101,7 +101,7 @@ def _resolve_hypergraph(args: argparse.Namespace) -> Hypergraph:
     if args.n is None:
         raise ValueError("--n is required")
     if args.family is not None:
-        return build_family(Family.from_cli(args.family), args.n)
+        return build_family(Family(args.family), args.n)
     if args.edges is not None:
         return edges_from_json(args.edges, args.n)
     raise ValueError("give either --family or --edges")
@@ -206,7 +206,7 @@ def _cmd_entanglement(args: argparse.Namespace) -> int:
     if args.mode == "closed-form" or (args.cross_check and args.family is not None):
         if args.family is None:
             raise ValueError("closed-form mode needs --family")
-        value = closed_form_alpha(Family.from_cli(args.family), h.n)
+        value = closed_form_alpha(Family(args.family), h.n)
         alphas["closed-form"] = float(value)
         doc["closed_form"] = exact_json(value)
 
@@ -275,7 +275,7 @@ def _witness_alpha(args: argparse.Namespace, h: Hypergraph) -> Number:
     if args.alpha_mode == "closed-form":
         if args.family is None:
             raise ValueError("closed-form alpha needs --family")
-        return closed_form_alpha(Family.from_cli(args.family), h.n)
+        return closed_form_alpha(Family(args.family), h.n)
     return alpha_multipartite(build_state(h), sweep_limit=args.cap_sweep).alpha
 
 
@@ -283,7 +283,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     if args.action == "table":
         if args.family is None or args.n_range is None:
             raise ValueError("witness table needs --family and --n-range")
-        family = Family.from_cli(args.family)
+        family = Family(args.family)
         rows = robustness_table(family, _parse_range(args.n_range))
         if args.format == "csv":
             data = [[r.n, *_exact_csv_cells(r.projector), *_exact_csv_cells(r.stabilizer)] for r in rows]
@@ -299,7 +299,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
             _emit(args, _csv(data, header))
         else:
             doc = {
-                "family": family.cli_name,
+                "family": family.value,
                 "rows": [
                     {"n": r.n, "projector": exact_json(r.projector), "stabilizer": exact_json(r.stabilizer)}
                     for r in rows

@@ -69,7 +69,6 @@ class ProcedureRow:
     infinity_norm: Fraction
     within_bound: bool
     lambda_max: float | None
-    lambda_within: bool | None
 
 
 @dataclass(frozen=True)
@@ -321,15 +320,14 @@ def procedure_alpha(h: Hypergraph, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT) ->
     for k in range(2, n // 2 + 1):
         inf = _weight_infinity_norm(n, layers, n - k)
         ok = inf <= smax_exact
-        lam = lam_ok = None
+        lam = None
         if not ok:
             success = False
             signs = build_state(h).signs().astype(np.float32) if signs is None else signs
             lam = float(np.linalg.eigvalsh(_cut_gram(signs, n, range(1, n - k + 1)))[-1]) / dim
-            lam_ok = lam <= smax_sq + SPECTRAL_TOL
             if lam > alpha:
                 alpha, alpha_exact = lam, None
-        rows.append(ProcedureRow(k, inf, ok, lam, lam_ok))
+        rows.append(ProcedureRow(k, inf, ok, lam))
     return ProcedureReport(n, smax_sq, smax_exact, tuple(rows), success, alpha, alpha_exact)
 
 
@@ -345,7 +343,7 @@ def closed_form_alpha(family: Family, n: int) -> Fraction | float:
         half = 1 << (n - 1)
         return Fraction(half - 1, half)
     if n < 3:
-        raise ValueError(f"{family.cli_name} family needs n >= 3")
+        raise ValueError(f"{family.value} family needs n >= 3")
     half = 1 << (n - 1)
     if family is Family.ALL_N_MINUS_1:
         if n == 4:

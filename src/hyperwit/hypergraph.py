@@ -30,18 +30,6 @@ class Family(enum.Enum):
     ALL_N_MINUS_1 = "all-n-1"
     ALL_GE_N_MINUS_1 = "all-ge-n-1"
 
-    @classmethod
-    def from_cli(cls, name: str) -> "Family":
-        for fam in cls:
-            if fam.value == name:
-                return fam
-        raise ValueError(f"unknown family {name!r}; expected one of "
-                         + ", ".join(f.value for f in cls))
-
-    @property
-    def cli_name(self) -> str:
-        return self.value
-
 
 @dataclass(frozen=True)
 class Hypergraph:

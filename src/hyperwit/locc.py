@@ -58,21 +58,18 @@ class StepKind(str, Enum):
 
 @dataclass(frozen=True)
 class ReductionStep:
-    """One audited move. Vertex and edge fields use the input's labels;
-    hypergraph_after uses the contiguous working labels of its branch."""
+    """One audited move; vertex and edge fields use the input's labels."""
 
     op: StepKind
     qubit: int | None
     outcome: int | None
     edge: Edge | None
-    hypergraph_after: Hypergraph
 
 
 @dataclass(frozen=True)
 class BranchRecord:
     steps: tuple[ReductionStep, ...]
     outcomes: tuple[tuple[int, int], ...]
-    leaf: Hypergraph
     final_edge: Edge
     kappa_prime: int
 
@@ -103,21 +100,10 @@ def _should_validate(n: int, validate: bool | None) -> bool:
 
 
 def _projected_state(state: SignState, vertex: int, outcome: int) -> SignState:
-    """Post-measurement state on n-1 qubits after a Z outcome on `vertex`.
-
-    Bit x of the packed table sits in byte x // 8. From label bit 3 up, the
-    labels whose vertex bit equals `outcome` fill alternate runs of
-    2**(pos-3) whole bytes, so the projection is a strided view of the bytes;
-    below that it picks bits inside each byte.
-    """
-    pos = label_bit(state.n, vertex)
-    raw = np.frombuffer(state.neg.to_bytes(max(1, state.dim // 8), "little"), dtype=np.uint8)
-    if pos >= 3:
-        sub = raw.reshape(-1, 2, 1 << (pos - 3))[:, outcome]
-    else:
-        bits = np.unpackbits(raw, bitorder="little")[: state.dim]
-        sub = np.packbits(bits.reshape(-1, 2, 1 << pos)[:, outcome], bitorder="little")
-    return SignState(state.n - 1, int.from_bytes(sub.tobytes(), "little"))
+    """Post-measurement state on n-1 qubits after a Z outcome on `vertex`."""
+    sub = state.signs().reshape(-1, 2, 1 << label_bit(state.n, vertex))[:, outcome]
+    packed = np.packbits(sub < 0, bitorder="little")
+    return SignState(state.n - 1, int.from_bytes(packed.tobytes(), "little"))
 
 
 def _check_rewrite(state: SignState, result: Hypergraph, signs: tuple[int, ...], rule: str) -> None:
@@ -217,19 +203,15 @@ def remove_non_crossing(
     return result, removed
 
 
-def reduce(
-    h: Hypergraph,
-    bp: Bipartition,
-    *,
-    validate: bool | None = None,
-    keep_branches: bool | None = None,
-) -> ReductionCertificate:
+def reduce(h: Hypergraph, bp: Bipartition, *, keep_branches: bool | None = None) -> ReductionCertificate:
     """Run the full reduction for one cut and certify a lower bound.
 
     Every measurement branch ends in a single crossing edge of some
     cardinality; the largest such cardinality over branches gives the
     weakest leaf and the certified bound 1/2**(worst-1). The certificate
     cross-checks the bound against the directly computed entanglement.
+    The oracle checks every rewrite exactly when the input has
+    n <= ORACLE_LIMIT; a larger input warns once and runs unvalidated.
     """
     if h.n != bp.n:
         raise ValueError("hypergraph and bipartition disagree on qubit count")
@@ -238,7 +220,7 @@ def reduce(
     part_a_orig = set(bp.part_a)
     if not crossing_edges(h, part_a_orig):
         raise LoccReductionError("no crossing edge to reduce")
-    validate = _should_validate(h.n, validate)
+    validate = _should_validate(h.n, None)
     keep = keep_branches if keep_branches is not None else h.n <= ORACLE_LIMIT
     budget = BUDGET_FACTOR * h.n * (1 << h.n)
     counter = 0
@@ -269,57 +251,46 @@ def reduce(
         kappa = max(len(e) for e in crossing)
         target = min(e for e in crossing if len(e) == kappa)
         charge()
-        steps = steps + (ReductionStep(StepKind.SELECT, None, None, orig(target), work),)
+        steps += (ReductionStep(StepKind.SELECT, None, None, orig(target)),)
 
         outside = [v for v in range(1, work.n + 1) if v not in target]
         if outside:
             i = outside[0]
-            label = alive[i - 1]
-            rest = alive[: i - 1] + alive[i:]
-            for outcome in (0, 1):
-                child = z_measure(work, i, outcome, validate=validate)
+        else:
+            # Only the target's qubits remain; target is the full vertex set.
+            if kappa >= 3:
+                while True:
+                    big = sorted(e for e in work.edges if len(e) == kappa - 1)
+                    if not big:
+                        break
+                    i = next(iter(set(target) - set(big[0])))
+                    work, _ = pauli_x_toggle(work, i, validate=validate)
+                    charge()
+                    steps += (ReductionStep(StepKind.PAULI_X, alive[i - 1], None, None),)
+            for e in [e for e in work.edges if len(e) == 1]:
+                work = pauli_z_toggle(work, e[0], validate=validate)
                 charge()
-                st = ReductionStep(StepKind.Z_MEASURE, label, outcome, None, child)
-                explore(child, rest, steps + (st,), outcomes + ((label, outcome),))
-            return
-
-        # Only the target's qubits remain; target is the full vertex set.
-        cur = work
-        if kappa >= 3:
-            while True:
-                big = sorted(e for e in cur.edges if len(e) == kappa - 1)
-                if not big:
-                    break
-                i = next(iter(set(target) - set(big[0])))
-                cur, _ = pauli_x_toggle(cur, i, validate=validate)
+                steps += (ReductionStep(StepKind.PAULI_Z, alive[e[0] - 1], None, None),)
+            work, removed = remove_non_crossing(work, part, keep=target, validate=validate)
+            for e in removed:
                 charge()
-                steps = steps + (ReductionStep(StepKind.PAULI_X, alive[i - 1], None, None, cur),)
-        for e in [e for e in cur.edges if len(e) == 1]:
-            cur = pauli_z_toggle(cur, e[0], validate=validate)
-            charge()
-            steps = steps + (ReductionStep(StepKind.PAULI_Z, alive[e[0] - 1], None, None, cur),)
-        _, removable = remove_non_crossing(cur, part, keep=target, validate=validate)
-        for e in removable:
-            cur = toggle_edges(cur, (e,))
-            charge()
-            steps = steps + (ReductionStep(StepKind.REMOVE, None, None, orig(e), cur),)
+                steps += (ReductionStep(StepKind.REMOVE, None, None, orig(e)),)
+            if work.edges == (target,):
+                worst = max(worst, kappa)
+                if keep:
+                    branches.append(BranchRecord(steps, outcomes, orig(target), kappa))
+                return
+            lower = [e for e in work.edges if e != target]
+            kt = max(len(e) for e in lower)
+            ke = min(e for e in lower if len(e) == kt)
+            i = min(v for v in target if v not in ke)
 
-        if cur.edges == (target,):
-            worst = max(worst, kappa)
-            if keep:
-                branches.append(BranchRecord(steps, outcomes, cur, orig(target), kappa))
-            return
-
-        lower = [e for e in cur.edges if e != target]
-        kt = max(len(e) for e in lower)
-        ke = min(e for e in lower if len(e) == kt)
-        i = min(v for v in target if v not in ke)
         label = alive[i - 1]
         rest = alive[: i - 1] + alive[i:]
         for outcome in (0, 1):
-            child = z_measure(cur, i, outcome, validate=validate)
+            child = z_measure(work, i, outcome, validate=validate)
             charge()
-            st = ReductionStep(StepKind.Z_MEASURE, label, outcome, None, child)
+            st = ReductionStep(StepKind.Z_MEASURE, label, outcome, None)
             explore(child, rest, steps + (st,), outcomes + ((label, outcome),))
 
     explore(h, tuple(range(1, h.n + 1)), (), ())

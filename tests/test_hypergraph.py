@@ -70,10 +70,10 @@ def test_build_family_edges():
 
 
 def test_family_cli_names():
-    assert Family.from_cli("single-max") is Family.SINGLE_MAX_EDGE
-    assert Family.ALL_N_MINUS_1.cli_name == "all-n-1"
+    assert Family("single-max") is Family.SINGLE_MAX_EDGE
+    assert Family.ALL_N_MINUS_1.value == "all-n-1"
     with pytest.raises(ValueError):
-        Family.from_cli("nope")
+        Family("nope")
 
 
 def test_is_connected():

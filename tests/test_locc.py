@@ -30,6 +30,24 @@ from hyperwit import locc
 
 DRAWN = canonicalize([[1, 2], [3, 4], [3, 4, 5], [2, 3, 4, 5]], 5)
 DRAWN_CUT = Bipartition.of(5, [1, 2, 3])
+CHAIN = [[1, 2, 3], [3, 4], [4, 5, 6], [6, 7], [7, 8, 9], [9, 10, 11], [2, 10]]
+
+
+def _replayed_leaf(h, branch):
+    """Apply a branch's audited steps to `h` with the public rules and
+    return the leaf's edges in the input's labels."""
+    alive = list(range(1, h.n + 1))
+    for s in branch.steps:
+        if s.op is StepKind.Z_MEASURE:
+            h = z_measure(h, alive.index(s.qubit) + 1, s.outcome)
+            alive.remove(s.qubit)
+        elif s.op is StepKind.PAULI_X:
+            h, _ = pauli_x_toggle(h, alive.index(s.qubit) + 1)
+        elif s.op is StepKind.PAULI_Z:
+            h = pauli_z_toggle(h, alive.index(s.qubit) + 1)
+        elif s.op is StepKind.REMOVE:
+            h = toggle_edges(h, [tuple(alive.index(v) + 1 for v in s.edge)])
+    return tuple(tuple(alive[v - 1] for v in e) for e in h.edges)
 
 
 def test_z_measure_known_cases():
@@ -119,9 +137,7 @@ def test_reduce_flat_two_edge_instance():
 def test_reduce_branches_end_in_single_crossing_edge():
     cert = locc_reduce(DRAWN, DRAWN_CUT)
     for b in cert.branches:
-        assert len(b.leaf.edges) == 1
-        edge = b.leaf.edges[0]
-        assert b.kappa_prime == len(edge)
+        assert _replayed_leaf(DRAWN, b) == (b.final_edge,)
         assert len(b.final_edge) == b.kappa_prime
         # final edge is reported in the original labels and crosses the cut
         assert any(v in DRAWN_CUT.part_a for v in b.final_edge)
@@ -174,17 +190,37 @@ def test_reduce_certificates_validate(h, pick):
     assert cert.bound == Fraction(1, 1 << (cert.kappa_prime_worst - 1))
     assert cert.entanglement_ab >= float(cert.bound) - 1e-9
     for b in cert.branches:
-        assert len(b.leaf.edges) == 1
+        assert _replayed_leaf(h, b) == (b.final_edge,)
 
 
 def test_reduce_above_oracle_limit_warns_once():
-    h = canonicalize([[1, 2, 3], [3, 4], [4, 5, 6], [6, 7], [7, 8, 9], [9, 10, 11], [2, 10]], 11)
+    h = canonicalize(CHAIN, 11)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         cert = locc_reduce(h, Bipartition.of(11, [1, 2, 3, 4, 5]))
     assert cert.steps_total > 100
     assert [w.category for w in caught] == [RuntimeWarning]
     assert caught[0].filename == __file__
+
+
+class _OracleCalled(Exception):
+    pass
+
+
+def test_reduce_validates_exactly_up_to_oracle_limit(monkeypatch):
+    """The input's n alone decides: no rewrite at any depth of an n = 11
+    reduction reaches the oracle, while the same chain at n = 10 does."""
+
+    def oracle(*args):
+        raise _OracleCalled
+
+    monkeypatch.setattr(locc, "_check_rewrite", oracle)
+    with pytest.warns(RuntimeWarning):
+        cert = locc_reduce(canonicalize(CHAIN, 11), Bipartition.of(11, [1, 2, 3, 4, 5]))
+    assert cert.steps_total == 1277
+    chain10 = canonicalize([[1, 2, 3], [3, 4], [4, 5, 6], [6, 7], [7, 8, 9], [9, 10], [2, 10]], 10)
+    with pytest.raises(_OracleCalled):
+        locc_reduce(chain10, Bipartition.of(10, [1, 2, 3, 4, 5]))
 
 
 # The rules build their output through the `Hypergraph` and `toggle_edges`
