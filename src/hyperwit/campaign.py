@@ -111,7 +111,7 @@ def reduction_audit(count: int = 100, max_n: int = 7, seed: int = 2024) -> Reduc
         margin = float("inf")
         certs = 0
         for bp in enumerate_bipartitions(h.n):
-            cert = locc_reduce(h, bp, keep_branches=False)
+            cert = locc_reduce(h, bp)
             certs += 1
             ok = ok and cert.validated
             margin = min(margin, cert.entanglement_ab - float(cert.bound))

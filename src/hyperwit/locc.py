@@ -1,11 +1,12 @@
 """Local rewrite calculus on hypergraphs and the reduction certificate.
 
-Every rewrite rule is stated combinatorially and, below a size threshold,
-re-derived at runtime from the exact sign-state it is supposed to model:
-apply the physical operation to the input's sign table and compare the
-result with the sign table of the rule's output hypergraph, complemented
-when the rule reports a global -1. A mismatch raises instead of propagating
-a bad rule.
+Every rewrite rule is stated combinatorially and, unless called with
+validate=False, re-derived at runtime from the exact sign-state it is
+supposed to model: apply the physical operation to the input's sign table
+and compare the result with the sign table of the rule's output hypergraph,
+complemented when the rule reports a global -1. A mismatch raises instead
+of propagating a bad rule. `reduce` alone decides the oracle's reach, from
+the input's n against ORACLE_LIMIT.
 
 The reduction procedure repeatedly measures away qubits outside a chosen
 maximum-cardinality crossing edge, strips lower-cardinality debris with
@@ -86,19 +87,6 @@ class ReductionCertificate:
     steps_total: int
 
 
-def _should_validate(n: int, validate: bool | None) -> bool:
-    if validate is not None:
-        return validate
-    if n > ORACLE_LIMIT:
-        warnings.warn(
-            f"n={n} exceeds the oracle limit {ORACLE_LIMIT}; rewrite output unvalidated",
-            RuntimeWarning,
-            stacklevel=3,
-        )
-        return False
-    return True
-
-
 def _projected_state(state: SignState, vertex: int, outcome: int) -> SignState:
     """Post-measurement state on n-1 qubits after a Z outcome on `vertex`."""
     sub = state.signs().reshape(-1, 2, 1 << label_bit(state.n, vertex))[:, outcome]
@@ -123,7 +111,7 @@ def _check_rewrite(state: SignState, result: Hypergraph, signs: tuple[int, ...],
         )
 
 
-def z_measure(h: Hypergraph, vertex: int, outcome: int, *, validate: bool | None = None) -> Hypergraph:
+def z_measure(h: Hypergraph, vertex: int, outcome: int, *, validate: bool = True) -> Hypergraph:
     """Computational-basis measurement of one qubit, as an edge rewrite.
 
     Outcome 0 deletes every edge through the vertex; outcome 1 replaces each
@@ -144,13 +132,13 @@ def z_measure(h: Hypergraph, vertex: int, outcome: int, *, validate: bool | None
                 kept ^= {tuple(v for v in e if v != vertex)}
     relabeled = tuple(sorted(tuple(v - 1 if v > vertex else v for v in e) for e in kept))
     result = Hypergraph(h.n - 1, relabeled)
-    if _should_validate(h.n, validate):
+    if validate:
         projected = _projected_state(build_state(h), vertex, outcome)
         _check_rewrite(projected, result, (1, -1), f"z_measure({vertex}, {outcome})")
     return result
 
 
-def pauli_x_toggle(h: Hypergraph, vertex: int, *, validate: bool | None = None) -> tuple[Hypergraph, int]:
+def pauli_x_toggle(h: Hypergraph, vertex: int, *, validate: bool = True) -> tuple[Hypergraph, int]:
     """Conjugation effect of X on a qubit: toggle the residual of every edge
     through it. A single-vertex edge survives and flips the global sign."""
     if not 1 <= vertex <= h.n:
@@ -165,17 +153,17 @@ def pauli_x_toggle(h: Hypergraph, vertex: int, *, validate: bool | None = None) 
         else:
             edges ^= {tuple(v for v in e if v != vertex)}
     result = Hypergraph(h.n, tuple(sorted(edges)))
-    if _should_validate(h.n, validate):
+    if validate:
         _check_rewrite(apply_x(build_state(h), vertex), result, (sign,), f"pauli_x_toggle({vertex})")
     return result, sign
 
 
-def pauli_z_toggle(h: Hypergraph, vertex: int, *, validate: bool | None = None) -> Hypergraph:
+def pauli_z_toggle(h: Hypergraph, vertex: int, *, validate: bool = True) -> Hypergraph:
     """Toggle the single-vertex edge (Z is the cardinality-1 controlled gate)."""
     if not 1 <= vertex <= h.n:
         raise ValueError(f"vertex {vertex} outside 1..{h.n}")
     result = toggle_edges(h, ((vertex,),))
-    if _should_validate(h.n, validate):
+    if validate:
         _check_rewrite(apply_z(build_state(h), vertex), result, (1,), f"pauli_z_toggle({vertex})")
     return result
 
@@ -185,7 +173,7 @@ def remove_non_crossing(
     part_a: Iterable[int],
     *,
     keep: Edge | None = None,
-    validate: bool | None = None,
+    validate: bool = True,
 ) -> tuple[Hypergraph, tuple[Edge, ...]]:
     """Delete every edge lying fully on one side of the cut, except `keep`.
 
@@ -195,7 +183,7 @@ def remove_non_crossing(
     crossing = set(crossing_edges(h, part_a))
     removed = tuple(e for e in h.edges if e != keep and e not in crossing)
     result = toggle_edges(h, removed)
-    if _should_validate(h.n, validate) and removed:
+    if validate and removed:
         st = build_state(h)
         for e in removed:
             st = apply_controlled_z(st, e)
@@ -203,15 +191,16 @@ def remove_non_crossing(
     return result, removed
 
 
-def reduce(h: Hypergraph, bp: Bipartition, *, keep_branches: bool | None = None) -> ReductionCertificate:
+def reduce(h: Hypergraph, bp: Bipartition) -> ReductionCertificate:
     """Run the full reduction for one cut and certify a lower bound.
 
     Every measurement branch ends in a single crossing edge of some
     cardinality; the largest such cardinality over branches gives the
     weakest leaf and the certified bound 1/2**(worst-1). The certificate
     cross-checks the bound against the directly computed entanglement.
-    The oracle checks every rewrite exactly when the input has
-    n <= ORACLE_LIMIT; a larger input warns once and runs unvalidated.
+    The oracle checks every rewrite, and the branches are recorded, exactly
+    when the input has n <= ORACLE_LIMIT; a larger input warns once, runs
+    unvalidated and records no branch.
     """
     if h.n != bp.n:
         raise ValueError("hypergraph and bipartition disagree on qubit count")
@@ -220,8 +209,13 @@ def reduce(h: Hypergraph, bp: Bipartition, *, keep_branches: bool | None = None)
     part_a_orig = set(bp.part_a)
     if not crossing_edges(h, part_a_orig):
         raise LoccReductionError("no crossing edge to reduce")
-    validate = _should_validate(h.n, None)
-    keep = keep_branches if keep_branches is not None else h.n <= ORACLE_LIMIT
+    validate = h.n <= ORACLE_LIMIT
+    if not validate:
+        warnings.warn(
+            f"n={h.n} exceeds the oracle limit {ORACLE_LIMIT}; rewrite output unvalidated",
+            RuntimeWarning,
+            stacklevel=2,
+        )
     budget = BUDGET_FACTOR * h.n * (1 << h.n)
     counter = 0
     branches: list[BranchRecord] = []
@@ -277,7 +271,7 @@ def reduce(h: Hypergraph, bp: Bipartition, *, keep_branches: bool | None = None)
                 steps += (ReductionStep(StepKind.REMOVE, None, None, orig(e)),)
             if work.edges == (target,):
                 worst = max(worst, kappa)
-                if keep:
+                if validate:
                     branches.append(BranchRecord(steps, outcomes, orig(target), kappa))
                 return
             lower = [e for e in work.edges if e != target]

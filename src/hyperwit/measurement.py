@@ -17,9 +17,13 @@ known by its label mask T, and one row-wise int64 transform covers a chunk
 of them. Each K_v equals U X_v U with U = diag(s), s the state's sign
 table, so every product is X_T times d_T(x) = s(x ^ T) * s(x), in any
 order: a chunk of subsets, holding a bounded number of entries, is one
-gather on s. For n <= DENSE_VALIDATE_LIMIT every edge-built vertex
-stabilizer must first fix the packed table, so each single-vertex row of
-that gather is the edge-built vertex diagonal; every product follows.
+gather on s. One generator, `_strings(h, labels)`, yields each chunk's
+strings as (x, z, numerators) arrays, and both public routes consume it.
+It alone decides n <= DENSE_VALIDATE_LIMIT, once per call, and that one
+decision turns on the stabilizer tie-in, sizes the chunks for the dense
+check and runs the check. Under it every edge-built vertex stabilizer must
+first fix the packed table, so each single-vertex row of the gather is the
+edge-built vertex diagonal; every product follows.
 
 A string is a pair of bitmasks, X-part x and Z-part z (the transform mask).
 Its base-4 key spread(x ^ z) | spread(z) << 1, with spread moving bit i to
@@ -109,13 +113,19 @@ def _shifts(n: int) -> np.ndarray:
     return np.arange(n - 1, -1, -1)
 
 
-def _bits(values: np.ndarray, n: int, width: int = 1) -> np.ndarray:
-    """(values, n) uint8 digits of the given bit width, qubit 1 first."""
-    # one column at a time: a (values, n) int64 temporary is 8x the result
-    out = np.empty((values.size, n), dtype=np.uint8)
+def _codes(keys: np.ndarray, n: int) -> np.ndarray:
+    """(keys, n) uint8 letter codes of base-4 keys, qubit 1 first."""
+    # one column at a time: a (keys, n) int64 temporary is 8x the result
+    out = np.empty((keys.size, n), dtype=np.uint8)
     for q, shift in enumerate(_shifts(n)):
-        out[:, q] = (values >> (width * shift)) & ((1 << width) - 1)
+        out[:, q] = (keys >> (2 * shift)) & 3
     return out
+
+
+def _letters(keys: np.ndarray, n: int) -> tuple[str, ...]:
+    """Letter strings of base-4 keys."""
+    text = _LETTER_BYTES[_codes(keys, n)].tobytes().decode("ascii")
+    return tuple(text[i : i + n] for i in range(0, len(text), n))
 
 
 def _spread(values: np.ndarray, n: int) -> np.ndarray:
@@ -187,68 +197,41 @@ def _check_dense(n: int, labels: np.ndarray, diagonals: np.ndarray, rows: np.nda
         raise ValueError("Pauli expansion disagrees with the dense product")
 
 
-def _chunk_strings(n: int, labels: np.ndarray, diagonals: np.ndarray, validate: bool, *, signed: bool
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
-    """(x, z, numerators over 2**n) of the nonzero weights of a chunk of subset
-    rows, row by row and by ascending z within a row; numerators are None
-    unless signed or validated."""
-    weights = _walsh_hadamard(diagonals)
-    rows, z = np.nonzero(weights)
-    x = labels[rows]
-    y_counts = np.bitwise_count(x & z)
-    if (y_counts & 1).any():
-        raise ValueError("odd Y count with nonzero weight; hermiticity violated")
-    if not (signed or validate):
-        return x, z, None
-    numerators = weights[rows, z]
-    numerators[(y_counts & 2) != 0] *= -1
-    if validate:
-        _check_dense(n, labels, diagonals, rows, x, z, numerators)
-    return x, z, numerators
+def _strings(h: Hypergraph, labels: np.ndarray, *, signed: bool = False
+             ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray | None]]:
+    """(x, z, numerators over 2**n) of the nonzero weights of the given
+    subsets, one chunk of rows at a time: row by row, by ascending z within
+    a row. Numerators are None unless signed or validated.
 
-
-def _chunk_keys(n: int, labels: np.ndarray, diagonals: np.ndarray, validate: bool, complete: bool) -> np.ndarray:
-    """Keys of the strings of a chunk, completed or not; a chunk's strings
-    are freed before the next chunk is expanded."""
-    x, z, _ = _chunk_strings(n, labels, diagonals, validate, signed=False)
-    return _keys(x, z, n, complete=complete)
-
-
-def _chunk_rows(n: int, validate: bool) -> int:
-    return max(1, _CHUNK_ENTRIES >> (2 * n if validate else n))
-
-
-def _singletons(n: int) -> np.ndarray:
-    """Labels of the single-vertex subsets, vertex 1 first."""
-    return 1 << _shifts(n)
-
-
-def _chunks(h: Hypergraph, labels: np.ndarray, validate: bool) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-    """(labels, diagonals) of the given subsets, _chunk_rows rows at a time.
-
-    Row T is the gather s(x ^ T) * s(x) on the state's sign table s. When
-    validating, every edge-built vertex stabilizer must first fix the table.
+    Row T is the gather s(x ^ T) * s(x) on the state's sign table s. For
+    n <= DENSE_VALIDATE_LIMIT every edge-built vertex stabilizer must first
+    fix the table, chunks are sized for the dense matrices and each one is
+    checked against them.
     """
+    n = h.n
+    validate = n <= DENSE_VALIDATE_LIMIT
     state = build_state(h)
     if validate and any(apply_stabilizer(state, h, v) != state for v in h.vertices()):
         raise ValueError("sign table disagrees with the edge-built vertex stabilizers")
     signs = state.signs()
-    xs = np.arange(1 << h.n)
-    step = _chunk_rows(h.n, validate)
+    xs = np.arange(1 << n)
+    step = max(1, _CHUNK_ENTRIES >> (2 * n if validate else n))
     for start in range(0, labels.size, step):
         part = labels[start : start + step]
-        yield part, signs[part[:, None] ^ xs] * signs
-
-
-def _letters(codes: np.ndarray) -> list[str]:
-    n = codes.shape[1]
-    text = _LETTER_BYTES[codes].tobytes().decode("ascii")
-    return [text[i : i + n] for i in range(0, len(text), n)]
-
-
-def _pauli_strings(n: int, x: np.ndarray, z: np.ndarray, numerators: np.ndarray) -> tuple[PauliString, ...]:
-    letters = _letters(_bits(_keys(x, z, n), n, 2))
-    return tuple(PauliString(p, Fraction(w, 1 << n)) for p, w in zip(letters, numerators.tolist()))
+        diagonals = signs[part[:, None] ^ xs] * signs
+        weights = _walsh_hadamard(diagonals)
+        rows, z = np.nonzero(weights)
+        x = part[rows]
+        y_counts = np.bitwise_count(x & z)
+        if (y_counts & 1).any():
+            raise ValueError("odd Y count with nonzero weight; hermiticity violated")
+        numerators = None
+        if signed or validate:
+            numerators = weights[rows, z]
+            numerators[(y_counts & 2) != 0] *= -1
+        if validate:
+            _check_dense(n, part, diagonals, rows, x, z, numerators)
+        yield x, z, numerators
 
 
 def _sorted_keys(blocks: Iterable[np.ndarray], n: int) -> np.ndarray:
@@ -266,11 +249,6 @@ def _sorted_keys(blocks: Iterable[np.ndarray], n: int) -> np.ndarray:
     return np.unique(np.concatenate([np.unique(block) for block in blocks]))
 
 
-def _settings(keys: np.ndarray, n: int) -> tuple[str, ...]:
-    """Letter strings of sorted keys."""
-    return tuple(_letters(_bits(keys, n, 2)))
-
-
 def _first_fit(keys: np.ndarray, n: int) -> tuple[str, ...]:
     """First-fit of sorted pattern keys into settings, or the canonical
     grouping when first-fit needs more settings.
@@ -278,7 +256,7 @@ def _first_fit(keys: np.ndarray, n: int) -> tuple[str, ...]:
     A group is (x_mask, z_mask, support); a pattern joins the first group
     that agrees with it on their common support.
     """
-    codes = _bits(keys, n, 2)
+    codes = _codes(keys, n)
     place = 1 << _shifts(n)
     xs, zs = _X_BIT[codes] @ place, _Z_BIT[codes] @ place
     groups: list[tuple[int, int, int]] = []
@@ -293,7 +271,7 @@ def _first_fit(keys: np.ndarray, n: int) -> tuple[str, ...]:
     masks = np.array(groups, dtype=np.int64).reshape(-1, 3)
     merged = _sorted_keys([_keys(masks[:, 0], masks[:, 1], n, complete=True)], n)
     canonical = _sorted_keys([_keys(xs, zs, n, complete=True)], n)
-    return _settings(merged if merged.size <= canonical.size else canonical, n)
+    return _letters(merged if merged.size <= canonical.size else canonical, n)
 
 
 def _stabilizer_settings(n: int) -> tuple[str, ...]:
@@ -308,9 +286,9 @@ def decompose_stabilizer_product(h: Hypergraph, subset: Iterable[int]) -> tuple[
         raise ValueError("subset must be nonempty")
     if vs[0] < 1 or vs[-1] > h.n:
         raise ValueError(f"subset {vs} outside 1..{h.n}")
-    validate = h.n <= DENSE_VALIDATE_LIMIT
-    (chunk,) = _chunks(h, np.array([label_of_vertices(h.n, vs)]), validate)
-    return _pauli_strings(h.n, *_chunk_strings(h.n, *chunk, validate, signed=True))
+    ((x, z, numerators),) = _strings(h, np.array([label_of_vertices(h.n, vs)]), signed=True)
+    letters = _letters(_keys(x, z, h.n), h.n)
+    return tuple(PauliString(p, Fraction(w, 1 << h.n)) for p, w in zip(letters, numerators.tolist()))
 
 
 def witness_settings(
@@ -318,18 +296,17 @@ def witness_settings(
 ) -> tuple[str, ...]:
     """Settings needed to measure the witness, per its own decomposition."""
     h = spec.hypergraph
-    validate = h.n <= DENSE_VALIDATE_LIMIT
     stabilizer = spec.kind is WitnessKind.STABILIZER
     complete = mode is SettingMode.CANONICAL
     if not (stabilizer and complete) and h.n > symbolic_limit:
         raise ValueError(f"{spec.kind.value} decomposition capped at n <= {symbolic_limit}, got n={h.n}")
-    if stabilizer and complete and not validate:
+    if stabilizer and complete and h.n > DENSE_VALIDATE_LIMIT:
         return _stabilizer_settings(h.n)
-    labels = _singletons(h.n) if stabilizer else np.arange(1, 1 << h.n)
-    keys = _sorted_keys((_chunk_keys(h.n, *chunk, validate, complete) for chunk in _chunks(h, labels, validate)), h.n)
+    labels = 1 << _shifts(h.n) if stabilizer else np.arange(1, 1 << h.n)
+    keys = _sorted_keys((_keys(x, z, h.n, complete=complete) for x, z, _ in _strings(h, labels)), h.n)
     if not complete:
         return _first_fit(keys, h.n)
-    settings = _settings(keys, h.n)
+    settings = _letters(keys, h.n)
     if stabilizer and settings != _stabilizer_settings(h.n):
         raise ValueError("stabilizer settings disagree with X on each vertex, Z elsewhere")
     return settings

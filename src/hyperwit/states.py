@@ -99,7 +99,7 @@ class SignState:
 
     def __post_init__(self) -> None:
         check_qubit_count(self.n)
-        if not 0 <= self.neg < (1 << (1 << self.n)):
+        if self.neg < 0 or self.neg.bit_length() > self.dim:
             raise ValueError("sign bitmap out of range for the label space")
 
     @property

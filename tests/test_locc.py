@@ -155,12 +155,6 @@ def test_reduce_single_max_edge_bound_is_tight():
         assert cert.validated
 
 
-def test_reduce_keep_branches_flag():
-    cert = locc_reduce(DRAWN, DRAWN_CUT, keep_branches=False)
-    assert cert.branches == ()
-    assert cert.kappa_prime_worst == 3
-
-
 def test_reduce_requires_connected_matching_cut():
     with pytest.raises(ValueError):
         locc_reduce(canonicalize([[1, 2]], 3), Bipartition.of(3, [1]))
@@ -209,7 +203,9 @@ class _OracleCalled(Exception):
 
 def test_reduce_validates_exactly_up_to_oracle_limit(monkeypatch):
     """The input's n alone decides: no rewrite at any depth of an n = 11
-    reduction reaches the oracle, while the same chain at n = 10 does."""
+    reduction reaches the oracle, while the same chain at n = 10 does.
+    Branches are kept exactly when the oracle ran."""
+    assert locc_reduce(DRAWN, DRAWN_CUT).branches
 
     def oracle(*args):
         raise _OracleCalled
@@ -218,6 +214,7 @@ def test_reduce_validates_exactly_up_to_oracle_limit(monkeypatch):
     with pytest.warns(RuntimeWarning):
         cert = locc_reduce(canonicalize(CHAIN, 11), Bipartition.of(11, [1, 2, 3, 4, 5]))
     assert cert.steps_total == 1277
+    assert cert.branches == ()
     chain10 = canonicalize([[1, 2, 3], [3, 4], [4, 5, 6], [6, 7], [7, 8, 9], [9, 10], [2, 10]], 10)
     with pytest.raises(_OracleCalled):
         locc_reduce(chain10, Bipartition.of(10, [1, 2, 3, 4, 5]))

@@ -344,17 +344,54 @@ def test_chunking_does_not_change_the_expansion(monkeypatch, entries):
 @pytest.mark.parametrize("validate", [False, True])
 def test_subset_chunks_hold_every_product_diagonal(monkeypatch, validate):
     monkeypatch.setattr(measurement, "_CHUNK_ENTRIES", 1 << 6)
+    if not validate:
+        monkeypatch.setattr(measurement, "DENSE_VALIDATE_LIMIT", 0)
+    chunks = []
+    transform = measurement._walsh_hadamard
+
+    def recording(diagonals):
+        chunks.append(diagonals)
+        return transform(diagonals)
+
+    monkeypatch.setattr(measurement, "_walsh_hadamard", recording)
     # the edge {2} gives K_2 a global -1
     hs = [_connected(n, 1) for n in range(2, 9)] + [canonicalize([[2], [1, 2, 3], [3, 4]], 4)]
     for h in hs:
         n = h.n
-        chunks = list(measurement._chunks(h, np.arange(1, 1 << n), validate))
-        assert len(chunks) == -(-((1 << n) - 1) // measurement._chunk_rows(n, validate))
-        labels = np.concatenate([c[0] for c in chunks])
-        assert labels.tolist() == list(range(1, 1 << n))
-        for label, diagonal in zip(labels.tolist(), np.concatenate([c[1] for c in chunks])):
+        chunks.clear()
+        witness_settings(projector_witness(h))
+        rows = max(1, measurement._CHUNK_ENTRIES >> (2 * n if n <= measurement.DENSE_VALIDATE_LIMIT else n))
+        assert len(chunks) == -(-((1 << n) - 1) // rows)
+        diagonals = np.concatenate(chunks)
+        assert len(diagonals) == (1 << n) - 1
+        for label, diagonal in zip(range(1, 1 << n), diagonals):
             vs = vertices_of_label(n, label)
             assert np.array_equal(diagonal, oracles.product_diagonal(n, h.edges, vs)), (h, vs)
+
+
+class _OracleCalled(Exception):
+    pass
+
+
+@pytest.mark.parametrize("oracle", ["_check_dense", "apply_stabilizer"])
+def test_settings_oracles_run_exactly_up_to_the_dense_limit(monkeypatch, oracle):
+    """Both routes run the dense check and the stabilizer tie-in at n = 6
+    and neither at n = 7."""
+
+    def raising(*args):
+        raise _OracleCalled
+
+    monkeypatch.setattr(measurement, oracle, raising)
+    for n in (6, 7):
+        h = _connected(n, 0)
+        routes = [lambda: witness_settings(projector_witness(h), SettingMode.CANONICAL),
+                  lambda: decompose_stabilizer_product(h, h.vertices())]
+        for route in routes:
+            if n <= measurement.DENSE_VALIDATE_LIMIT:
+                with pytest.raises(_OracleCalled):
+                    route()
+            else:
+                route()
 
 
 @pytest.mark.parametrize("mode", list(SettingMode))

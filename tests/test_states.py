@@ -287,6 +287,9 @@ def test_hex_round_trip():
 def test_sign_state_validation():
     with pytest.raises(ValueError):
         SignState(2, 1 << 4)  # sign bit outside the 2^n window
+    assert SignState(2, (1 << 4) - 1).signs().tolist() == [-1] * 4  # the largest valid table
+    with pytest.raises(ValueError):
+        SignState(2, -1)
     with pytest.raises(ValueError):
         SignState(0, 0)
     with pytest.raises(ValueError):
