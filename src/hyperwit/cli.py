@@ -3,12 +3,13 @@ library; the CLI only parses arguments and serializes results."""
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
+import re
 import sys
 from fractions import Fraction
-from functools import lru_cache
+from types import SimpleNamespace
+from typing import NamedTuple
 
 from .campaign import lower_bound_campaign, reduction_audit
 from .entanglement import (
@@ -42,62 +43,248 @@ from .witness import (
 )
 
 
-@lru_cache(maxsize=None)
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI parser, built once per process: parsing never mutates it.
-    Each subcommand takes only the flags its handler reads."""
-    out = argparse.ArgumentParser(add_help=False)
-    out.add_argument("--out", default=None)
-    instance = argparse.ArgumentParser(add_help=False)
-    source = instance.add_mutually_exclusive_group()
-    source.add_argument("--family", choices=[f.value for f in Family], default=None)
-    source.add_argument("--edges", default=None, help='JSON edge list, e.g. "[[1,2],[2,3]]"')
-    instance.add_argument("--n", type=int, default=None)
-    sweep = argparse.ArgumentParser(add_help=False)
-    sweep.add_argument("--cap-sweep", type=int, default=DEFAULT_SWEEP_LIMIT,
-                       help="largest n for bipartition sweeps")
-    fmt = argparse.ArgumentParser(add_help=False)
-    fmt.add_argument("--format", choices=["json", "csv"], default="json")
-    root = argparse.ArgumentParser(prog="hyperwit", description=__doc__)
-    sub = root.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("state", parents=[out, instance], help="build or dump a state")
-    p.add_argument("action", choices=["build", "dump"])
-
-    p = sub.add_parser("verify", parents=[out, instance, sweep], help="exact structural checks")
-    p.add_argument("action", choices=["stabilizers", "basis", "projector"])
-    p.add_argument("--cap-dense", type=int, default=DENSE_LIMIT, help="largest n for dense matrix checks")
-
-    p = sub.add_parser("entanglement", parents=[out, instance, sweep, fmt], help="geometric entanglement")
-    p.add_argument("--mode", choices=["brute", "procedure", "closed-form"], default="brute")
-    p.add_argument("--cross-check", action="store_true", help="compare every applicable route")
-
-    p = sub.add_parser("reduce", parents=[out, instance], help="reduction certificate for one cut")
-    p.add_argument("--partA", required=True, help="comma-separated vertices of side A")
-
-    p = sub.add_parser("witness", parents=[out, instance, sweep, fmt], help="witness construction and evaluation")
-    p.add_argument("action", choices=["build", "eval", "table"])
-    p.add_argument("--kind", choices=["projector", "stabilizer"], default="projector")
-    p.add_argument("--alpha-mode", choices=["generic", "closed-form", "brute"], default="generic")
-    p.add_argument("--p", default=None, help="white-noise fraction (eval)")
-    p.add_argument("--n-range", default=None, help='table range, e.g. "2..8"')
-
-    p = sub.add_parser("settings", parents=[out, instance], help="local measurement settings")
-    p.add_argument("action", choices=["count", "list"])
-    p.add_argument("--kind", choices=["projector", "stabilizer"], default="projector")
-    p.add_argument("--mode", choices=["canonical", "greedy"], default="canonical")
-    p.add_argument("--cap-symbolic", type=int, default=SYMBOLIC_LIMIT,
-                   help="largest n for symbolic decompositions")
-
-    p = sub.add_parser("campaign", parents=[out, sweep], help="randomized audits")
-    p.add_argument("action", choices=["lower-bound", "reduction-audit"])
-    for flag in ("--count", "--max-n", "--seed"):
-        p.add_argument(flag, type=int, default=None, help="default: the audit function's")
-
-    return root
+class UsageError(ValueError):
+    """A command line that `COMMANDS` does not accept; `main` prints it and exits 2."""
 
 
-def _resolve_hypergraph(args: argparse.Namespace) -> Hypergraph:
+class _Help(Exception):
+    """-h or --help was read; carries the help text that `main` prints."""
+
+
+class Command(NamedTuple):
+    help: str
+    actions: tuple[str, ...]  # empty when the command takes no action
+    # flag -> (converter, default, help). A converter is int, str, a tuple of
+    # choices, bool for a switch, or a function that raises UsageError.
+    flags: dict[str, tuple]
+
+
+REQUIRED = object()  # the default of a flag that must be given
+
+
+def _n_range(text: str) -> range:
+    lo, dots, hi = text.partition("..")
+    try:
+        first, last = int(lo), int(hi if dots else lo)
+    except ValueError:
+        first, last = 1, 0
+    if first > last:
+        raise UsageError(f"argument --n-range: expected N or LO..HI with LO <= HI, got {text!r}")
+    return range(first, last + 1)
+
+
+def _vertices(text: str) -> list[int]:
+    try:
+        return [int(tok) for tok in text.split(",") if tok]
+    except ValueError:
+        raise UsageError(f"argument --partA: expected comma-separated integers, got {text!r}") from None
+
+
+_OUT = {"--out": (str, None, "")}
+_INSTANCE = {
+    "--family": (tuple(f.value for f in Family), None, ""),
+    "--edges": (str, None, 'JSON edge list, e.g. "[[1,2],[2,3]]"'),
+    "--n": (int, None, ""),
+}
+_EXCLUSIVE = ("--family", "--edges")  # at most one of the two
+_SWEEP = {"--cap-sweep": (int, DEFAULT_SWEEP_LIMIT, "largest n for bipartition sweeps")}
+_FORMAT = {"--format": (("json", "csv"), "json", "")}
+_KIND = {"--kind": (("projector", "stabilizer"), "projector", "")}
+
+# Each command takes only the flags its handler reads.
+COMMANDS = {
+    "state": Command("build or dump a state", ("build", "dump"), {**_OUT, **_INSTANCE}),
+    "verify": Command("exact structural checks", ("stabilizers", "basis", "projector"), {
+        **_OUT, **_INSTANCE, **_SWEEP,
+        "--cap-dense": (int, DENSE_LIMIT, "largest n for dense matrix checks"),
+    }),
+    "entanglement": Command("geometric entanglement", (), {
+        **_OUT, **_INSTANCE, **_SWEEP, **_FORMAT,
+        "--mode": (("brute", "procedure", "closed-form"), "brute", ""),
+        "--cross-check": (bool, False, "compare every applicable route"),
+    }),
+    "reduce": Command("reduction certificate for one cut", (), {
+        **_OUT, **_INSTANCE,
+        "--partA": (_vertices, REQUIRED, "comma-separated vertices of side A"),
+    }),
+    "witness": Command("witness construction and evaluation", ("build", "eval", "table"), {
+        **_OUT, **_INSTANCE, **_SWEEP, **_FORMAT, **_KIND,
+        "--alpha-mode": (("generic", "closed-form", "brute"), "generic", ""),
+        "--p": (str, None, "white-noise fraction (eval)"),
+        "--n-range": (_n_range, None, 'table range, e.g. "2..8"'),
+    }),
+    "settings": Command("local measurement settings", ("count", "list"), {
+        **_OUT, **_INSTANCE, **_KIND,
+        "--mode": (("canonical", "greedy"), "canonical", ""),
+        "--cap-symbolic": (int, SYMBOLIC_LIMIT, "largest n for symbolic decompositions"),
+    }),
+    "campaign": Command("randomized audits", ("lower-bound", "reduction-audit"), {
+        **_OUT, **_SWEEP,
+        **{flag: (int, None, "default: the audit function's") for flag in ("--count", "--max-n", "--seed")},
+    }),
+}
+
+_HELP = ("-h", "--help")
+_VALUE = "value"
+_NEGATIVE = re.compile(r"^-\d+$|^-\d*\.\d+$")  # a negative number, read as a value
+
+
+def _dest(flag: str) -> str:
+    return flag[2:].replace("-", "_")
+
+
+def _classify(tok: str, names: tuple[str, ...]) -> str | tuple[str | None, str | None]:
+    """How one token reads among the flag names `names`: `_VALUE`, or (flag,
+    its `=` value or None), with flag None for an unknown one. A unique prefix
+    names its flag and an ambiguous one is refused; "-h" followed by any
+    letters is help."""
+    if not tok.startswith("-") or tok == "-":
+        return _VALUE
+    head, eq, tail = tok.partition("=")
+    if head in names:
+        return head, tail if eq else None
+    if tok[1] == "-":
+        matches = [name for name in names if name.startswith(head)]
+        if len(matches) > 1:
+            raise UsageError(f"ambiguous option: {head} could match {', '.join(matches)}")
+        if matches:
+            return matches[0], tail if eq else None
+    elif tok.startswith("-h"):
+        return "-h", None
+    # A negative number, or a token with a space in it, is a value.
+    return _VALUE if _NEGATIVE.match(tok) or " " in tok else (None, None)
+
+
+def _convert(name: str, convert, text: str):
+    if isinstance(convert, tuple):
+        if text not in convert:
+            raise UsageError(f"argument {name}: invalid choice: {text!r} (choose from {', '.join(convert)})")
+        return text
+    if convert is int:
+        try:
+            return int(text)
+        except ValueError:
+            raise UsageError(f"argument {name}: invalid int value: {text!r}") from None
+    return convert(text)
+
+
+def _switch(flag: str, text: str | None, command: str | None) -> None:
+    """Read a flag that takes no value; -h or --help raises _Help."""
+    if text is not None:
+        raise UsageError(f"argument {flag}: ignored explicit argument {text!r}")
+    if flag in _HELP:
+        raise _Help(_help_text(command))
+
+
+def _help_text(command: str | None) -> str:
+    if command is None:
+        width = max(map(len, COMMANDS))
+        lines = ["usage: hyperwit COMMAND [ACTION] [FLAGS]", "", __doc__, "", "commands:"]
+        lines += [f"  {name:<{width}}  {spec.help}" for name, spec in COMMANDS.items()]
+        lines += ["", "Run 'hyperwit COMMAND -h' for the actions and flags of one command."]
+        return "\n".join(lines) + "\n"
+    spec = COMMANDS[command]
+    rows = []
+    for flag, (convert, default, text) in spec.flags.items():
+        if isinstance(convert, tuple):
+            left = f"{flag} {{{','.join(convert)}}}"
+        else:
+            left = flag if convert is bool else f"{flag} {_dest(flag).upper()}"
+        if default is REQUIRED:
+            text = f"{text} (required)"
+        elif default is not None and convert is not bool:
+            text = f"{text} (default: {default})"
+        rows.append((left, text.strip()))
+    rows.append(("-h, --help", "show this help"))
+    width = max(len(left) for left, _ in rows)
+    actions = f" {{{','.join(spec.actions)}}}" if spec.actions else ""
+    lines = [f"usage: hyperwit {command}{actions} [FLAGS]", "", spec.help, ""]
+    if spec.actions:
+        lines += [f"actions: {', '.join(spec.actions)}", ""]
+    lines += ["flags:", *(f"  {left:<{width}}  {text}".rstrip() for left, text in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def parse_args(argv: list[str]) -> SimpleNamespace:
+    """Read argv against `COMMANDS` in one pass: the command, then its action
+    anywhere among its flags.
+
+    A flag takes `--flag value` or `--flag=value` and may be shortened to a
+    unique prefix; a repeated flag keeps its last value. A value may start
+    with "-" only as a negative number or a lone "-". The first "--" ends the
+    flags: it is dropped next to the action and otherwise unrecognized.
+    Unknown tokens are refused once the rest has parsed. Any other fault
+    raises UsageError when it is read, and -h or --help raises _Help."""
+    extras: list[str] = []
+    for i, tok in enumerate(argv):
+        kind = _classify(tok, _HELP) if tok != "--" else _VALUE
+        if kind is _VALUE:
+            command = _convert("command", tuple(COMMANDS), tok)
+            return _parse_command(command, argv[i + 1 :], extras)
+        if kind[0] is None:
+            extras.append(tok)
+        else:
+            _switch(*kind, None)
+    raise UsageError("the following arguments are required: command")
+
+
+def _parse_command(command: str, argv: list[str], extras: list[str]) -> SimpleNamespace:
+    actions, flags = COMMANDS[command].actions, COMMANDS[command].flags
+    names = (*flags, *_HELP)
+    values = {"command": command, "action": None} if actions else {"command": command}
+    for flag, spec in flags.items():
+        values[_dest(flag)] = None if spec[1] is REQUIRED else spec[1]
+    pending = bool(actions)  # the action is still to be read
+    rest = False  # a "--" was read: every later token is a value
+    seen: set[str] = set()
+    i = 0
+    while i < len(argv):
+        tok = argv[i]
+        i += 1
+        if tok == "--" and not rest:
+            rest = True
+            if not (pending and i < len(argv)):
+                extras.append(tok)
+            continue
+        kind = _VALUE if rest else _classify(tok, names)
+        if kind is _VALUE:
+            if not pending:
+                extras.append(tok)
+                continue
+            values["action"] = _convert("action", actions, tok)
+            pending = False
+            if not rest and argv[i : i + 1] == ["--"]:
+                rest, i = True, i + 1
+            continue
+        flag, text = kind
+        if flag is None:
+            extras.append(tok)
+            continue
+        if flag in _HELP or flags[flag][0] is bool:
+            _switch(flag, text, command)
+            values[_dest(flag)] = True
+            continue
+        if text is None:
+            if i == len(argv) or argv[i] == "--" or _classify(argv[i], names) is not _VALUE:
+                raise UsageError(f"argument {flag}: expected one argument")
+            text = argv[i]
+            i += 1
+        values[_dest(flag)] = _convert(flag, flags[flag][0], text)
+        seen.add(flag)
+        if flag in _EXCLUSIVE and seen.issuperset(_EXCLUSIVE):
+            other = _EXCLUSIVE[1] if flag == _EXCLUSIVE[0] else _EXCLUSIVE[0]
+            raise UsageError(f"argument {flag}: not allowed with argument {other}")
+
+    missing = ["action"] if pending else []
+    missing += [flag for flag, spec in flags.items() if spec[1] is REQUIRED and flag not in seen]
+    if missing:
+        raise UsageError(f"the following arguments are required: {', '.join(missing)}")
+    if extras:
+        raise UsageError(f"unrecognized arguments: {' '.join(extras)}")
+    return SimpleNamespace(**values)
+
+
+def _resolve_hypergraph(args: SimpleNamespace) -> Hypergraph:
     if args.n is None:
         raise ValueError("--n is required")
     if args.family is not None:
@@ -107,14 +294,7 @@ def _resolve_hypergraph(args: argparse.Namespace) -> Hypergraph:
     raise ValueError("give either --family or --edges")
 
 
-def _parse_range(text: str) -> list[int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
-    return [int(text)]
-
-
-def _emit(args: argparse.Namespace, payload: str) -> None:
+def _emit(args: SimpleNamespace, payload: str) -> None:
     if not args.out:
         sys.stdout.write(payload)
         return
@@ -139,7 +319,7 @@ def _exact_csv_cells(value: Number) -> list[object]:
     return ["", "", repr(value)]
 
 
-def _cmd_state(args: argparse.Namespace) -> int:
+def _cmd_state(args: SimpleNamespace) -> int:
     h = _resolve_hypergraph(args)
     doc = hypergraph_json(h)
     if args.action == "build":
@@ -150,7 +330,7 @@ def _cmd_state(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_verify(args: argparse.Namespace) -> int:
+def _cmd_verify(args: SimpleNamespace) -> int:
     h = _resolve_hypergraph(args)
     doc = {"check": args.action, **hypergraph_json(h)}
     if args.action == "stabilizers":
@@ -171,7 +351,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return 0 if doc["ok"] else 1
 
 
-def _cmd_entanglement(args: argparse.Namespace) -> int:
+def _cmd_entanglement(args: SimpleNamespace) -> int:
     h = _resolve_hypergraph(args)
     doc: dict = {**hypergraph_json(h), "mode": args.mode}
     alphas: dict[str, float] = {}
@@ -235,10 +415,9 @@ def _cmd_entanglement(args: argparse.Namespace) -> int:
     return 0 if ok else 1
 
 
-def _cmd_reduce(args: argparse.Namespace) -> int:
+def _cmd_reduce(args: SimpleNamespace) -> int:
     h = _resolve_hypergraph(args)
-    part = [int(tok) for tok in args.partA.split(",") if tok]
-    cert = locc_reduce(h, Bipartition.of(h.n, part))
+    cert = locc_reduce(h, Bipartition.of(h.n, args.partA))
     doc = {
         **hypergraph_json(h),
         "part_a": list(cert.bipartition.part_a),
@@ -269,7 +448,7 @@ def _cmd_reduce(args: argparse.Namespace) -> int:
     return 0 if cert.validated else 1
 
 
-def _witness_alpha(args: argparse.Namespace, h: Hypergraph) -> Number:
+def _witness_alpha(args: SimpleNamespace, h: Hypergraph) -> Number:
     if args.alpha_mode == "generic":
         return default_alpha(h)
     if args.alpha_mode == "closed-form":
@@ -279,12 +458,12 @@ def _witness_alpha(args: argparse.Namespace, h: Hypergraph) -> Number:
     return alpha_multipartite(build_state(h), sweep_limit=args.cap_sweep).alpha
 
 
-def _cmd_witness(args: argparse.Namespace) -> int:
+def _cmd_witness(args: SimpleNamespace) -> int:
     if args.action == "table":
         if args.family is None or args.n_range is None:
             raise ValueError("witness table needs --family and --n-range")
         family = Family(args.family)
-        rows = robustness_table(family, _parse_range(args.n_range))
+        rows = robustness_table(family, args.n_range)
         if args.format == "csv":
             data = [[r.n, *_exact_csv_cells(r.projector), *_exact_csv_cells(r.stabilizer)] for r in rows]
             header = [
@@ -342,7 +521,7 @@ def _cmd_witness(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_settings(args: argparse.Namespace) -> int:
+def _cmd_settings(args: SimpleNamespace) -> int:
     h = _resolve_hypergraph(args)
     alpha = default_alpha(h)
     spec = projector_witness(h, alpha) if args.kind == "projector" else stabilizer_witness(h, alpha)
@@ -359,7 +538,7 @@ def _cmd_settings(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_campaign(args: argparse.Namespace) -> int:
+def _cmd_campaign(args: SimpleNamespace) -> int:
     given = {k: getattr(args, k) for k in ("count", "max_n", "seed") if getattr(args, k) is not None}
     if args.action == "lower-bound":
         report = lower_bound_campaign(**given, sweep_limit=args.cap_sweep)
@@ -405,9 +584,12 @@ _HANDLERS = {
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = parse_args(sys.argv[1:] if argv is None else argv)
         return _HANDLERS[args.command](args)
+    except _Help as exc:
+        sys.stdout.write(str(exc))
+        return 0
     except (LoccValidationError, LoccReductionError) as exc:
         print(f"check failed: {exc}", file=sys.stderr)
         return 1

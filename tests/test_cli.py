@@ -1,11 +1,17 @@
+import argparse
 import json
 import tracemalloc
+from functools import lru_cache
 
 import jsonschema
 import pytest
 
 from hyperwit import SignState, parse_hypergraph, reduction_audit
-from hyperwit.cli import build_parser, main
+from hyperwit.cli import COMMANDS, main, parse_args
+from hyperwit.entanglement import DEFAULT_SWEEP_LIMIT
+from hyperwit.hypergraph import Family
+from hyperwit.measurement import SYMBOLIC_LIMIT
+from hyperwit.states import DENSE_LIMIT
 from schemas import SCHEMAS
 
 DRAWN_EDGES = "[[1,2],[3,4],[3,4,5],[2,3,4,5]]"
@@ -265,16 +271,15 @@ def test_greedy_stabilizer_settings_capped_by_cap_symbolic(capsys):
     assert code == 0 and doc["count"] == 11
 
 
-def test_unknown_family_rejected_by_argparse(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["state", "build", "--family", "mystery", "--n", "3"])
-    assert exc.value.code == 2
+def test_unknown_family_rejected(capsys):
+    code, out, err = run(capsys, "state", "build", "--family", "mystery", "--n", "3")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: argument --family: invalid choice: 'mystery'")
 
 
 def test_family_and_edges_are_mutually_exclusive(capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["state", "build", "--family", "single-max", "--edges", "[[1,2]]", "--n", "3"])
-    assert exc.value.code == 2
+    code, out, err = run(capsys, "state", "build", "--family", "single-max", "--edges", "[[1,2]]", "--n", "3")
+    assert (code, out, err) == (2, "", "error: argument --edges: not allowed with argument --family\n")
 
 
 @pytest.mark.parametrize("edges", ["[[1.7,2],[true,3]]", "[[1,2.0]]", "[[true,2]]", '[["1",2]]', "[1,2]"])
@@ -332,12 +337,11 @@ _READS = {
 def test_each_subcommand_takes_only_the_flags_it_reads(capsys, command, flag):
     argv = [*_SUBCOMMANDS[command], flag, _FLAGS[flag]]
     if flag in _READS[command]:
-        build_parser().parse_args(argv)
+        parse_args(argv)
         return
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert f"unrecognized arguments: {flag}" in capsys.readouterr().err
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert f"unrecognized arguments: {flag}" in err
 
 
 def test_campaign_reduction_audit_matches_api(capsys):
@@ -373,3 +377,213 @@ def test_campaign_sizes_checked(capsys, action, flag, value):
 def test_campaign_max_n_above_its_cap_refused(capsys, argv, message):
     code, out, err = run(capsys, "campaign", *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+# The argparse parser that `cli.COMMANDS` replaced, kept as the reference that
+# the table's parser must agree with.
+@lru_cache(maxsize=None)
+def build_parser() -> argparse.ArgumentParser:
+    """The CLI parser, built once per process: parsing never mutates it.
+    Each subcommand takes only the flags its handler reads."""
+    out = argparse.ArgumentParser(add_help=False)
+    out.add_argument("--out", default=None)
+    instance = argparse.ArgumentParser(add_help=False)
+    source = instance.add_mutually_exclusive_group()
+    source.add_argument("--family", choices=[f.value for f in Family], default=None)
+    source.add_argument("--edges", default=None, help='JSON edge list, e.g. "[[1,2],[2,3]]"')
+    instance.add_argument("--n", type=int, default=None)
+    sweep = argparse.ArgumentParser(add_help=False)
+    sweep.add_argument("--cap-sweep", type=int, default=DEFAULT_SWEEP_LIMIT,
+                       help="largest n for bipartition sweeps")
+    fmt = argparse.ArgumentParser(add_help=False)
+    fmt.add_argument("--format", choices=["json", "csv"], default="json")
+    root = argparse.ArgumentParser(prog="hyperwit", description=__doc__)
+    sub = root.add_subparsers(dest="command", required=True)
+
+    p = sub.add_parser("state", parents=[out, instance], help="build or dump a state")
+    p.add_argument("action", choices=["build", "dump"])
+
+    p = sub.add_parser("verify", parents=[out, instance, sweep], help="exact structural checks")
+    p.add_argument("action", choices=["stabilizers", "basis", "projector"])
+    p.add_argument("--cap-dense", type=int, default=DENSE_LIMIT, help="largest n for dense matrix checks")
+
+    p = sub.add_parser("entanglement", parents=[out, instance, sweep, fmt], help="geometric entanglement")
+    p.add_argument("--mode", choices=["brute", "procedure", "closed-form"], default="brute")
+    p.add_argument("--cross-check", action="store_true", help="compare every applicable route")
+
+    p = sub.add_parser("reduce", parents=[out, instance], help="reduction certificate for one cut")
+    p.add_argument("--partA", required=True, help="comma-separated vertices of side A")
+
+    p = sub.add_parser("witness", parents=[out, instance, sweep, fmt], help="witness construction and evaluation")
+    p.add_argument("action", choices=["build", "eval", "table"])
+    p.add_argument("--kind", choices=["projector", "stabilizer"], default="projector")
+    p.add_argument("--alpha-mode", choices=["generic", "closed-form", "brute"], default="generic")
+    p.add_argument("--p", default=None, help="white-noise fraction (eval)")
+    p.add_argument("--n-range", default=None, help='table range, e.g. "2..8"')
+
+    p = sub.add_parser("settings", parents=[out, instance], help="local measurement settings")
+    p.add_argument("action", choices=["count", "list"])
+    p.add_argument("--kind", choices=["projector", "stabilizer"], default="projector")
+    p.add_argument("--mode", choices=["canonical", "greedy"], default="canonical")
+    p.add_argument("--cap-symbolic", type=int, default=SYMBOLIC_LIMIT,
+                   help="largest n for symbolic decompositions")
+
+    p = sub.add_parser("campaign", parents=[out, sweep], help="randomized audits")
+    p.add_argument("action", choices=["lower-bound", "reduction-audit"])
+    for flag in ("--count", "--max-n", "--seed"):
+        p.add_argument(flag, type=int, default=None, help="default: the audit function's")
+
+    return root
+
+
+_SAMPLES = {"--out": "report.json", "--edges": "[[1,2]]", "--p": "1/3", "--n-range": "2..4", "--partA": "1,2"}
+
+
+def _shortest_prefix(flag, names):
+    return next(
+        flag[:k] for k in range(3, len(flag) + 1)
+        if flag[:k] == flag or not any(name != flag and name.startswith(flag[:k]) for name in names)
+    )
+
+
+def _corpus():
+    """Every command x action x flag: `--flag v`, `--flag=v` and the same with
+    the flag's shortest unique prefix, each with the action first and last;
+    then every flag of a command at once, and the fault and edge cases. Each
+    argv parses alike under argparse 3.11.7 and 3.12.10; the ones that do not
+    are pinned in `test_argv_where_argparse_releases_disagree`."""
+    out = []
+    for command, spec in COMMANDS.items():
+        names = [*spec.flags, "--help"]
+        required = ["--partA", "1"] if command == "reduce" else []
+        samples = {}
+        for flag, (convert, _, _) in spec.flags.items():
+            if convert is bool:
+                samples[flag] = [[flag], [_shortest_prefix(flag, names)]]
+                continue
+            value = convert[-1] if isinstance(convert, tuple) else "3" if convert is int else _SAMPLES[flag]
+            samples[flag] = [
+                [name, value] if space else [f"{name}={value}"]
+                for name in (flag, _shortest_prefix(flag, names))
+                for space in (True, False)
+            ]
+        every = [tok for flag, forms in samples.items() if flag != "--edges" for tok in forms[0]]
+        for action in spec.actions or [None]:
+            first, last = ([action], []) if action else ([], [])
+            for flag, forms in samples.items():
+                base = [] if flag == "--partA" else required
+                for form in forms:
+                    out.append([command, *first, *base, *form])
+                    if action:
+                        out.append([command, *base, *form, action])
+            out.append([command, *first, *every, *every[:2], *last])
+    dump = ["state", "dump", "--family", "single-max", "--n", "3"]
+    out += [
+        ["bogus"],
+        [],
+        ["state", "--family", "single-max", "--n", "3"],
+        ["state", "show", "--family", "single-max"],
+        ["settings", "count", "--kind", "mixed"],
+        ["state", "dump", "--n", "x"],
+        ["state", "dump", "--n"],
+        ["reduce", "--family", "single-max", "--n", "3"],
+        [*dump, "--edges", "[[1,2]]"],
+        ["verify", "basis", "--cap", "3"],
+        [*dump, "--bogus"],
+        [*dump, "extra"],
+        ["campaign", "lower-bound", "--count", "-3"],
+        ["witness", "eval", "--p", "-.5"],
+        ["witness", "eval", "--p", "-1/3"],
+        [*dump, "--out", "-"],
+        [*dump, "--", "x"],
+        ["state", "--family", "single-max", "--", "dump"],
+        ["entanglement", "--cross", "--max", "4"],
+        ["campaign", "--max", "4", "reduction-audit"],
+        ["entanglement", "--cross-check=1"],
+        [*dump, "--out="],
+        ["--bogus", *dump, "-x"],
+        [*dump, "--bogus", "-h"],
+        [*dump, "-hh"],
+        ["state", "-h=x"],
+        ["entanglement", "--he=1"],
+        [*dump, "--"],
+        ["state", "dump", "--"],
+        [*dump, "--", "--"],
+        ["state", "--"],
+        ["state", "dump", "--", "--n", "3"],
+        [*dump, "--out", "--"],
+        [*dump, "--out", "-x y"],
+        [*dump, "--n 3"],
+        [*dump, "--=x"],
+    ]
+    return out
+
+
+def _old_conversions(ns):
+    """The reference's strings, converted as the handlers used to convert them."""
+    doc = vars(ns)
+    if doc.get("partA") is not None:
+        doc["partA"] = [int(tok) for tok in doc["partA"].split(",") if tok]
+    if doc.get("n_range") is not None:
+        lo, _, hi = doc["n_range"].partition("..")
+        doc["n_range"] = range(int(lo), int(hi or lo) + 1)
+    return doc
+
+
+def test_parse_args_agrees_with_the_argparse_reference(capsys):
+    corpus = _corpus()
+    assert len(corpus) > 600
+    accepted = 0
+    for argv in corpus:
+        try:
+            expected = _old_conversions(build_parser().parse_args(argv))
+        except SystemExit as exc:
+            capsys.readouterr()
+            code, out, _ = run(capsys, *argv)
+            assert code == exc.code, argv
+            assert exc.code == 0 or out == "", argv
+            continue
+        assert vars(parse_args(argv)) == expected, argv
+        accepted += 1
+    assert accepted > 550
+
+
+# Where argparse releases disagree, the table parser keeps one behaviour:
+# 3.11.7 refuses the first three argvs and reads "--out=--" as an empty list,
+# while 3.12.10 gives help three times, accepts "-- state dump" and reads "--".
+def test_argv_where_argparse_releases_disagree(capsys):
+    # help is read before the ambiguous "--cap", and "-h" followed by any letters is help
+    for argv in (["verify", "-h", "--cap"], ["verify", "basis", "-hx"], ["-hx"]):
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.startswith("usage: hyperwit")
+    assert run(capsys, "--", "state", "dump")[:2] == (2, "")  # "--" is read as the command
+    assert parse_args(["state", "dump", "--out=--"]).out == "--"
+
+
+def test_help_lists_every_command_action_and_flag(capsys):
+    code, out, err = run(capsys, "-h")
+    assert (code, err) == (0, "")
+    assert all(command in out and spec.help in out for command, spec in COMMANDS.items())
+    for command, spec in COMMANDS.items():
+        code, out, err = run(capsys, command, "--help")
+        assert (code, err) == (0, "")
+        assert all(name in out for name in (*spec.actions, *spec.flags))
+
+
+def test_n_range_is_read_lazily(capsys):
+    argv = ["witness", "build", "--family", "single-max", "--n", "3", "--n-range", "1..1000000000"]
+    assert parse_args(argv).n_range == range(1, 1_000_000_001)
+    assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("argv,flag,value", [
+    (["witness", "table", "--family", "all-n-1", "--n-range", "8..2"], "--n-range", "8..2"),
+    (["witness", "table", "--family", "all-n-1", "--n-range", "2..x"], "--n-range", "2..x"),
+    (["witness", "table", "--family", "all-n-1", "--n-range", "2..3..4"], "--n-range", "2..3..4"),
+    (["reduce", "--family", "single-max", "--n", "3", "--partA", "1,a"], "--partA", "1,a"),
+    (["reduce", "--family", "single-max", "--n", "3", "--partA=1.5"], "--partA", "1.5"),
+])
+def test_bad_n_range_or_part_a_names_the_flag(capsys, argv, flag, value):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith(f"error: argument {flag}:") and repr(value) in err and len(err.splitlines()) == 1
