@@ -14,6 +14,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache, reduce
+from itertools import accumulate
+from operator import and_
 from typing import Iterable
 
 import numpy as np
@@ -71,8 +73,9 @@ def _bit_pattern(n: int, pos: int) -> int:
 @lru_cache(maxsize=4096)
 def superset_mask(n: int, vertices: tuple[int, ...]) -> int:
     """Packed indicator of {x : every vertex bit is set in x}."""
-    masks = [_bit_pattern(n, label_bit(n, v)) for v in vertices]
-    return reduce(lambda a, b: a & b, masks, _full_mask(n))
+    if not vertices:
+        return _full_mask(n)
+    return reduce(and_, [_bit_pattern(n, label_bit(n, v)) for v in vertices])
 
 
 def _subset_xor_transform(n: int, bits: int) -> int:
@@ -161,15 +164,31 @@ def apply_z(state: SignState, vertex: int) -> SignState:
     return SignState(state.n, state.neg ^ _bit_pattern(state.n, label_bit(state.n, vertex)))
 
 
-def _link_mask(h: Hypergraph, vertex: int) -> int:
-    """Packed sign flips of the vertex stabilizer's controlled-Z part: the XOR
-    of superset_mask over the residuals of the edges through the vertex. An
-    empty residual, from a single-vertex edge, flips every label."""
-    mask = 0
+@lru_cache(maxsize=1)
+def _link_masks(h: Hypergraph) -> tuple[int, ...]:
+    """Packed sign flips of every vertex stabilizer's controlled-Z part, in
+    vertex order: entry v - 1 is the XOR of superset_mask over the residuals
+    e minus v of the edges e through v. An empty residual, from a
+    single-vertex edge, flips every label.
+
+    The residual of an edge's i-th vertex is the AND of the running prefix
+    before it and the running suffix after it, so one edge costs 3(|e| - 2)
+    mask ANDs for all its residuals together."""
+    n = h.n
+    masks = [0] * n
     for e in h.edges:
-        if vertex in e:
-            mask ^= superset_mask(h.n, tuple(v for v in e if v != vertex))
-    return mask
+        if len(e) == 1:
+            masks[e[0] - 1] ^= _full_mask(n)
+            continue
+        pats = [_bit_pattern(n, label_bit(n, v)) for v in e]
+        prefix = list(accumulate(pats[:-1], and_))  # prefix[i]: AND of pats[: i + 1]
+        suffix = pats[-1]  # AND of pats[i + 1 :] for the vertex i being done
+        masks[e[-1] - 1] ^= prefix.pop()
+        for i in range(len(e) - 2, 0, -1):
+            masks[e[i] - 1] ^= prefix.pop() & suffix
+            suffix &= pats[i]
+        masks[e[0] - 1] ^= suffix
+    return tuple(masks)
 
 
 def apply_stabilizer(state: SignState, h: Hypergraph, vertex: int) -> SignState:
@@ -183,7 +202,7 @@ def apply_stabilizer(state: SignState, h: Hypergraph, vertex: int) -> SignState:
         raise ValueError(f"vertex {vertex} outside 1..{h.n}")
     if state.n != h.n:
         raise ValueError("state and hypergraph disagree on qubit count")
-    return apply_x(SignState(h.n, state.neg ^ _link_mask(h, vertex)), vertex)
+    return apply_x(SignState(h.n, state.neg ^ _link_masks(h)[vertex - 1]), vertex)
 
 
 def basis_state(h: Hypergraph, s: int) -> SignState:
@@ -243,7 +262,7 @@ def stabilizer_diagonal(h: Hypergraph, vertex: int) -> np.ndarray:
     """Dense +-1 diagonal of the vertex stabilizer's controlled-Z part."""
     if not 1 <= vertex <= h.n:
         raise ValueError(f"vertex {vertex} outside 1..{h.n}")
-    return SignState(h.n, _link_mask(h, vertex)).signs().astype(np.int64)
+    return SignState(h.n, _link_masks(h)[vertex - 1]).signs().astype(np.int64)
 
 
 def projector_identity_check(h: Hypergraph, *, dense_limit: int = DENSE_LIMIT) -> float:

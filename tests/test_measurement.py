@@ -408,9 +408,9 @@ def test_singleton_check_catches_a_corrupted_sign_table(monkeypatch, witness, mo
 @pytest.mark.parametrize("witness", [projector_witness, stabilizer_witness])
 def test_singleton_check_catches_a_corrupted_edge_side(monkeypatch, witness, mode):
     spec = witness(_connected(5, 0))
-    link_mask = states._link_mask
+    link_masks = states._link_masks
     # flip one label of vertex 1's edge-built stabilizer; the table stays right
-    monkeypatch.setattr(states, "_link_mask", lambda h, v: link_mask(h, v) ^ ((v == 1) << 11))
+    monkeypatch.setattr(states, "_link_masks", lambda h: (link_masks(h)[0] ^ (1 << 11), *link_masks(h)[1:]))
     with pytest.raises(ValueError, match="sign table disagrees"):
         witness_settings(spec, mode)
 

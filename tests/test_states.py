@@ -29,6 +29,7 @@ from hyperwit import (
     projector_identity_check,
 )
 from hyperwit import states
+from hyperwit.campaign import random_connected_hypergraph
 from hyperwit.cli import main
 from hyperwit.states import (
     _bit_pattern,
@@ -177,15 +178,52 @@ def test_stabilizer_diagonal_single_vertex_edge():
     assert np.array_equal(stabilizer_diagonal(h, 2), -np.ones(4, dtype=np.int64))
 
 
+def _reference_link_mask(h, vertex):
+    # one superset_mask per residual edge, each its own AND chain
+    mask = 0
+    for e in h.edges:
+        if vertex in e:
+            mask ^= superset_mask(h.n, tuple(v for v in e if v != vertex))
+    return mask
+
+
+@given(hypergraphs(max_n=8))
+def test_link_masks_match_one_chain_per_residual(h):
+    assert states._link_masks(h) == tuple(_reference_link_mask(h, v) for v in h.vertices())
+
+
+@pytest.mark.parametrize("n", range(12, 17))
+def test_link_masks_match_one_chain_per_residual_on_random_instances(n):
+    h = random_connected_hypergraph(n, random.Random(f"link-masks:{n}"))
+    assert states._link_masks(h) == tuple(_reference_link_mask(h, v) for v in h.vertices())
+
+
+def test_verify_stabilizers_keeps_no_residual_masks(capsys):
+    # n = 18 masks are 32 KiB each: the 18 link masks take 576 KiB, while one
+    # cached mask per residual edge takes up to 7.7 MiB on this instance (245 residuals)
+    h = random_connected_hypergraph(18, random.Random("stabilizer-memory:18:0"))
+    states.superset_mask.cache_clear()
+    states._link_masks.cache_clear()
+    argv = ["verify", "stabilizers", "--edges", json.dumps([list(e) for e in h.edges]), "--n", "18"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0 and json.loads(capsys.readouterr().out)["ok"] is True
+    assert peak < 6 << 20, peak
+
+
 @given(hypergraphs(max_n=6))
 def test_projector_identity_exact(h):
     assert projector_identity_check(h) == 0.0
 
 
 def test_projector_identity_check_catches_a_corrupted_stabilizer(monkeypatch, capsys):
-    link_mask = states._link_mask
+    link_masks = states._link_masks
     # flip one label of vertex 1's edge-built stabilizer; the sign table stays right
-    monkeypatch.setattr(states, "_link_mask", lambda h, v: link_mask(h, v) ^ ((v == 1) << 3))
+    monkeypatch.setattr(states, "_link_masks", lambda h: (link_masks(h)[0] ^ (1 << 3), *link_masks(h)[1:]))
     assert projector_identity_check(build_family(Family.ALL_N_MINUS_1, 4)) == 0.125
     assert projector_identity_check(canonicalize([[1, 2], [2, 3, 4], [5]], 5)) == 0.0625
     code = main(["verify", "projector", "--family", "all-n-1", "--n", "4"])
