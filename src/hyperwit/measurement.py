@@ -58,7 +58,7 @@ from typing import Iterable, Iterator
 import numpy as np
 
 from .hypergraph import Hypergraph
-from .states import apply_stabilizer, build_state, label_of_vertices
+from .states import build_state, label_of_vertices, stabilizer_defect
 from .witness import WitnessKind, WitnessSpec
 
 DENSE_VALIDATE_LIMIT = 6
@@ -211,7 +211,7 @@ def _strings(h: Hypergraph, labels: np.ndarray, *, signed: bool = False
     n = h.n
     validate = n <= DENSE_VALIDATE_LIMIT
     state = build_state(h)
-    if validate and any(apply_stabilizer(state, h, v) != state for v in h.vertices()):
+    if validate and stabilizer_defect(state, h):
         raise ValueError("sign table disagrees with the edge-built vertex stabilizers")
     signs = state.signs()
     xs = np.arange(1 << n)

@@ -23,7 +23,6 @@ import numpy as np
 from .hypergraph import Hypergraph
 
 MAX_QUBITS = 24
-DENSE_LIMIT = 8
 
 
 def label_bit(n: int, vertex: int) -> int:
@@ -258,44 +257,30 @@ def is_permutation_invariant(state: SignState) -> bool:
     return all(np.array_equal(t, t.swapaxes(i, i + 1)) for i in range(state.n - 1))
 
 
-def stabilizer_diagonal(h: Hypergraph, vertex: int) -> np.ndarray:
-    """Dense +-1 diagonal of the vertex stabilizer's controlled-Z part."""
-    if not 1 <= vertex <= h.n:
-        raise ValueError(f"vertex {vertex} outside 1..{h.n}")
-    return SignState(h.n, _link_masks(h)[vertex - 1]).signs().astype(np.int64)
+def stabilizer_defect(state: SignState, h: Hypergraph) -> int:
+    """The labels flipped by the first edge-built vertex stabilizer K_v that
+    moves the table (`moved.neg ^ state.neg`), or 0 when every K_v fixes it."""
+    for v in h.vertices():
+        moved = apply_stabilizer(state, h, v)
+        if moved != state:
+            return moved.neg ^ state.neg
+    return 0
 
 
-def projector_identity_check(h: Hypergraph, *, dense_limit: int = DENSE_LIMIT) -> float:
-    """Compare 2**n |H><H| against both product and group-average forms.
+def projector_identity_check(h: Hypergraph) -> float:
+    """Check 2**n |H><H| = prod_v (I + K_v) = sum_T K_T on the packed table.
 
-    Builds the outer product of the sign table, the telescoped product of
-    (I + K_v), and the sum of all 2**n distinct stabilizer-subset products,
-    all in exact integers. Returns the largest entrywise deviation divided
-    by 2**n (0.0 when the identity holds exactly).
+    Write f for the sign table and m_v for vertex v's controlled-Z mask, so
+    K_v sends f to X_v(f ^ m_v). If every K_v fixes f, then m_v = f ^ X_v f:
+    m_v does not depend on x_v, so K_v is an involution, and
+    m_u ^ X_v m_u = f ^ X_u f ^ X_v f ^ X_u X_v f is symmetric in u and v,
+    so the K_v commute. The products K_T over vertex subsets T then form a
+    group of 2**n elements with distinct X parts, each fixing |H>, and each
+    but I traceless. So sum_T K_T, which equals the product, is 2**n times
+    a projector of trace 1 onto |H>: the identity holds exactly when every
+    K_v fixes the table.
+
+    Returns the share of labels that the first failing K_v moves, 0.0 when
+    the identity holds.
     """
-    if h.n > dense_limit:
-        raise ValueError(f"dense check limited to n <= {dense_limit}, got n={h.n}")
-    dim = 1 << h.n
-    xs = np.arange(dim)
-    signs = build_state(h).signs().astype(np.int64)
-    outer = np.outer(signs, signs)
-
-    diagonals = [stabilizer_diagonal(h, v) for v in h.vertices()]
-
-    # K_v maps column x to row x ^ bit with factor d(x), so K_v @ prod is the
-    # rows of d[:, None] * prod permuted by x -> x ^ bit
-    prod = np.eye(dim, dtype=np.int64)
-    for v, d in zip(h.vertices(), diagonals):
-        prod = prod + (d[:, None] * prod)[xs ^ (1 << label_bit(h.n, v))]
-
-    # Row T of `products` is the diagonal d_T of K_v1 K_v2 ... K_vk over T's
-    # vertices v1 < ... < vk, which maps column x to row x ^ T. Peeling v1,
-    # the owner of T's highest label bit: d_T(x) = d_rest(x) * d_v1(x ^ rest).
-    products = np.ones((dim, dim), dtype=np.int64)
-    for t in range(1, dim):
-        rest = t ^ (1 << (t.bit_length() - 1))
-        products[t] = products[rest] * diagonals[h.n - t.bit_length()][xs ^ rest]
-    group_sum = products[xs[:, None] ^ xs, xs]
-
-    dev = max(np.abs(outer - prod).max(), np.abs(outer - group_sum).max())
-    return float(dev) / dim
+    return stabilizer_defect(build_state(h), h).bit_count() / (1 << h.n)

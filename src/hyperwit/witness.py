@@ -21,6 +21,7 @@ from .serialize import Number
 from .states import apply_stabilizer, build_state, overlap
 
 FLOAT_SLACK = 1e-12
+TABLE_LIMIT = 256  # largest n of a robustness-table row; each row costs O(n^2)
 
 
 class WitnessKind(Enum):
@@ -132,6 +133,8 @@ def expectation(spec: WitnessSpec, noisy: NoisyState) -> Number:
 
 
 def robustness_table(family: Family, ns: range | list[int]) -> tuple[RobustnessRow, ...]:
+    if any(n > TABLE_LIMIT for n in ns):
+        raise ValueError(f"robustness table capped at n <= {TABLE_LIMIT}")
     rows = []
     for n in ns:
         h = build_family(family, n)

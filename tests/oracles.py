@@ -66,6 +66,28 @@ def stabilizer_matrix(n: int, edges, vertex: int) -> np.ndarray:
     return m
 
 
+def projector_forms(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """2**n |H><H| and its two stabilizer forms as exact int64 matrices: the
+    product of (I + K_v) over v = 1..n, and the sum over vertex subsets T of
+    K_T, each product taken in descending vertex order, so the two forms
+    agree only where the K_v commute."""
+    dim = 1 << n
+    signs = np.rint(dense_state(n, edges) * np.sqrt(dim)).astype(np.int64)
+    ks = [np.rint(stabilizer_matrix(n, edges, v)).astype(np.int64) for v in range(1, n + 1)]
+    eye = np.eye(dim, dtype=np.int64)
+    prod = eye
+    for k in ks:
+        prod = prod @ (eye + k)
+    group_sum = np.zeros((dim, dim), dtype=np.int64)
+    for size in range(n + 1):
+        for subset in combinations(range(n), size):
+            term = eye
+            for i in reversed(subset):
+                term = term @ ks[i]
+            group_sum += term
+    return np.outer(signs, signs), prod, group_sum
+
+
 @lru_cache(maxsize=16)
 def _frozen_stabilizer_matrix(n: int, edges, vertex: int) -> np.ndarray:
     m = stabilizer_matrix(n, edges, vertex)

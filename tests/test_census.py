@@ -1,16 +1,21 @@
 """Exhaustive census: every connected hypergraph on n = 2..4 qubits with
 edges of cardinality >= 2, the 3- and 4-qubit space classified by Guehne
 et al., J. Phys. A 47, 335303 (2014). Each instance goes through the
-reduction on every cut and the setting engine for both witnesses in both
-modes, all inside the runtime oracles' reach."""
+reduction on every cut, the setting engine for both witnesses in both
+modes, all inside the runtime oracles' reach, and the projector identity
+against its dense oracle."""
 
 from itertools import combinations
 
+import numpy as np
+
+import oracles
 from hyperwit import (
     SettingMode,
     canonicalize,
     enumerate_bipartitions,
     is_connected,
+    projector_identity_check,
     projector_witness,
     reduce as locc_reduce,
     stabilizer_witness,
@@ -74,3 +79,10 @@ def test_census_settings_run_through_the_dense_check(monkeypatch):
             assert 0 < counts[SettingMode.GREEDY] <= counts[SettingMode.CANONICAL], (h, spec.kind)
         assert counts[SettingMode.CANONICAL] == h.n  # the stabilizer witness: X on vertex i, Z elsewhere
     assert calls == 8012
+
+
+def test_census_projector_identity_matches_the_dense_oracle():
+    for h in CENSUS:
+        outer, prod, group_sum = oracles.projector_forms(h.n, h.edges)
+        assert np.array_equal(prod, group_sum), h
+        assert projector_identity_check(h) == 0.0 and np.array_equal(outer, prod), h

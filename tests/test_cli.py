@@ -11,7 +11,7 @@ from hyperwit.cli import COMMANDS, main, parse_args
 from hyperwit.entanglement import DEFAULT_SWEEP_LIMIT
 from hyperwit.hypergraph import Family
 from hyperwit.measurement import SYMBOLIC_LIMIT
-from hyperwit.states import DENSE_LIMIT
+from hyperwit.witness import TABLE_LIMIT
 from schemas import SCHEMAS
 
 DRAWN_EDGES = "[[1,2],[3,4],[3,4,5],[2,3,4,5]]"
@@ -308,8 +308,8 @@ def test_witness_csv_only_for_table(capsys, action):
 
 
 # One invocation per subcommand, a value for each of the six flags that do not
-# select the instance, and the flags each subcommand reads: 16 of the 42
-# (subcommand, flag) slots parse, and the other 26 exit 2.
+# select the instance, and the flags each subcommand reads: 15 of the 42
+# (subcommand, flag) slots parse, and the other 27 exit 2.
 _SUBCOMMANDS = {
     "state": ["state", "dump", "--family", "single-max", "--n", "3"],
     "reduce": ["reduce", "--family", "single-max", "--n", "3", "--partA", "1"],
@@ -324,7 +324,7 @@ _FLAGS = {"--out": "report.json", "--seed": "3", "--format": "json", "--cap-swee
 _READS = {
     "state": {"--out"},
     "reduce": {"--out"},
-    "verify": {"--out", "--cap-sweep", "--cap-dense"},
+    "verify": {"--out", "--cap-sweep"},
     "entanglement": {"--out", "--format", "--cap-sweep"},
     "witness": {"--out", "--format", "--cap-sweep"},
     "settings": {"--out", "--cap-symbolic"},
@@ -405,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", parents=[out, instance, sweep], help="exact structural checks")
     p.add_argument("action", choices=["stabilizers", "basis", "projector"])
-    p.add_argument("--cap-dense", type=int, default=DENSE_LIMIT, help="largest n for dense matrix checks")
 
     p = sub.add_parser("entanglement", parents=[out, instance, sweep, fmt], help="geometric entanglement")
     p.add_argument("--mode", choices=["brute", "procedure", "closed-form"], default="brute")
@@ -574,6 +573,18 @@ def test_n_range_is_read_lazily(capsys):
     argv = ["witness", "build", "--family", "single-max", "--n", "3", "--n-range", "1..1000000000"]
     assert parse_args(argv).n_range == range(1, 1_000_000_001)
     assert run(capsys, *argv)[0] == 0
+
+
+@pytest.mark.parametrize("n_range", ["2..100000000", "257"])
+def test_witness_table_refuses_rows_above_its_bound(capsys, n_range):
+    code, out, err = run(capsys, "witness", "table", "--family", "all-n-1", "--n-range", n_range)
+    assert (code, out) == (2, "")
+    assert err == f"error: robustness table capped at n <= {TABLE_LIMIT}\n"
+
+
+def test_witness_table_runs_up_to_its_bound(capsys):
+    code, out, _ = run(capsys, "witness", "table", "--family", "all-n-1", "--n-range", f"{TABLE_LIMIT}")
+    assert code == 0 and [row["n"] for row in json.loads(out)["rows"]] == [TABLE_LIMIT]
 
 
 @pytest.mark.parametrize("argv,flag,value", [

@@ -373,7 +373,7 @@ class _OracleCalled(Exception):
     pass
 
 
-@pytest.mark.parametrize("oracle", ["_check_dense", "apply_stabilizer"])
+@pytest.mark.parametrize("oracle", ["_check_dense", "stabilizer_defect"])
 def test_settings_oracles_run_exactly_up_to_the_dense_limit(monkeypatch, oracle):
     """Both routes run the dense check and the stabilizer tie-in at n = 6
     and neither at n = 7."""

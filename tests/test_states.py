@@ -35,7 +35,6 @@ from hyperwit.states import (
     _bit_pattern,
     label_bit,
     label_of_vertices,
-    stabilizer_diagonal,
     superset_mask,
     vertices_of_label,
 )
@@ -139,11 +138,16 @@ def test_apply_stabilizer_matches_dense(h, vertex):
     assert np.array_equal(moved, ref)
 
 
+def _link_diagonal(h, vertex):
+    # +-1 diagonal of the vertex stabilizer's controlled-Z part
+    return SignState(h.n, states._link_masks(h)[vertex - 1]).signs().astype(np.int64)
+
+
 def _dense_stabilizer(h, vertex):
     # K_v sends |x> to d(x) |x ^ bit>, d the vertex's controlled-Z diagonal
     xs = np.arange(1 << h.n)
     k = np.zeros((1 << h.n, 1 << h.n), dtype=np.int64)
-    k[xs ^ (1 << label_bit(h.n, vertex)), xs] = stabilizer_diagonal(h, vertex)
+    k[xs ^ (1 << label_bit(h.n, vertex)), xs] = _link_diagonal(h, vertex)
     return k
 
 
@@ -161,11 +165,10 @@ def test_stabilizer_diagonal_products_commute():
     m1 = _dense_stabilizer(h, 1) @ _dense_stabilizer(h, 2)
     m2 = _dense_stabilizer(h, 2) @ _dense_stabilizer(h, 1)
     assert np.array_equal(m1, m2)
-    # and matches X_1 X_2 times the diagonal d_2(x) * d_1(x ^ bit 2), the
-    # recursion the projector identity check runs
+    # and matches X_1 X_2 times the diagonal d_2(x) * d_1(x ^ bit 2)
     n = h.n
     xs = np.arange(1 << n)
-    d12 = stabilizer_diagonal(h, 2) * stabilizer_diagonal(h, 1)[xs ^ (1 << label_bit(n, 2))]
+    d12 = _link_diagonal(h, 2) * _link_diagonal(h, 1)[xs ^ (1 << label_bit(n, 2))]
     tmask = (1 << label_bit(n, 1)) | (1 << label_bit(n, 2))
     recon = np.zeros((1 << n, 1 << n), dtype=np.int64)
     recon[xs ^ tmask, xs] = d12
@@ -175,7 +178,7 @@ def test_stabilizer_diagonal_products_commute():
 def test_stabilizer_diagonal_single_vertex_edge():
     h = canonicalize([[2]], 2)
     # residual of edge {2} under K_2 is a global sign flip
-    assert np.array_equal(stabilizer_diagonal(h, 2), -np.ones(4, dtype=np.int64))
+    assert np.array_equal(_link_diagonal(h, 2), -np.ones(4, dtype=np.int64))
 
 
 def _reference_link_mask(h, vertex):
@@ -215,20 +218,49 @@ def test_verify_stabilizers_keeps_no_residual_masks(capsys):
     assert peak < 6 << 20, peak
 
 
+@given(hypergraphs(max_n=8))
+def test_link_masks_give_commuting_involutions(h):
+    # m_v free of x_v makes K_v an involution; the symmetric XOR makes K_u, K_v commute
+    masks = states._link_masks(h)
+
+    def flip(mask, v):
+        return apply_x(SignState(h.n, mask), v).neg
+
+    for v, m in zip(h.vertices(), masks):
+        assert flip(m, v) == m
+    for (u, mu), (v, mv) in combinations(zip(h.vertices(), masks), 2):
+        assert mu ^ flip(mu, v) == mv ^ flip(mv, u)
+
+
 @given(hypergraphs(max_n=6))
 def test_projector_identity_exact(h):
+    outer, prod, group_sum = oracles.projector_forms(h.n, h.edges)
+    assert np.array_equal(prod, group_sum)
     assert projector_identity_check(h) == 0.0
+    assert np.array_equal(outer, prod)
 
 
 def test_projector_identity_check_catches_a_corrupted_stabilizer(monkeypatch, capsys):
     link_masks = states._link_masks
-    # flip one label of vertex 1's edge-built stabilizer; the sign table stays right
+    # flip one label of vertex 1's edge-built stabilizer; the sign table stays
+    # right, and K_1 now moves exactly one label of it
     monkeypatch.setattr(states, "_link_masks", lambda h: (link_masks(h)[0] ^ (1 << 3), *link_masks(h)[1:]))
-    assert projector_identity_check(build_family(Family.ALL_N_MINUS_1, 4)) == 0.125
-    assert projector_identity_check(canonicalize([[1, 2], [2, 3, 4], [5]], 5)) == 0.0625
+    assert projector_identity_check(build_family(Family.ALL_N_MINUS_1, 4)) == 0.0625
+    assert projector_identity_check(canonicalize([[1, 2], [2, 3, 4], [5]], 5)) == 0.03125
     code = main(["verify", "projector", "--family", "all-n-1", "--n", "4"])
     assert code == 1
     assert json.loads(capsys.readouterr().out)["ok"] is False
+
+
+@pytest.mark.parametrize("n", [9, 24])
+def test_verify_projector_answers_at_every_size(capsys, n):
+    try:
+        code = main(["verify", "projector", "--family", "all-n-1", "--n", str(n)])
+    finally:  # the n = 24 masks are 2 MiB each; keep none for later tests
+        for cache in (states._full_mask, states._bit_pattern, states.superset_mask, states._link_masks):
+            cache.cache_clear()
+    doc = json.loads(capsys.readouterr().out)
+    assert (code, doc["ok"], doc["deviation"]) == (0, True, 0.0)
 
 
 def test_basis_orthonormal_small():
