@@ -359,7 +359,7 @@ def _cmd_entanglement(args: SimpleNamespace) -> int:
         alphas["brute"] = report.alpha
     if args.mode == "procedure" or args.cross_check:
         try:
-            proc = procedure_alpha(h, sweep_limit=args.cap_sweep)
+            proc = procedure_alpha(h)
         except ValueError:
             if args.mode == "procedure":
                 raise

@@ -7,7 +7,8 @@ certification procedure works on the edge list of a permutation-invariant
 state, whose reduced Grams depend only on the label weights: it compares
 the always-rational single-qubit split with the exact infinity norm of every
 deeper reduced density matrix, and builds the sign table only for a dense
-eigensolve where that bound is inconclusive.
+eigensolve, of a Gram at most 2**DEFAULT_SWEEP_LIMIT square, where that
+bound is inconclusive.
 """
 
 from __future__ import annotations
@@ -34,23 +35,6 @@ from .states import SignState, build_state, check_qubit_count, is_permutation_in
 
 SPECTRAL_TOL = 1e-9
 DEFAULT_SWEEP_LIMIT = 12
-
-
-@dataclass(frozen=True)
-class SchmidtSpectrum:
-    bipartition: Bipartition
-    coefficients: tuple[float, ...]
-    rank: int
-
-    @property
-    def alpha(self) -> float:
-        return self.coefficients[0] ** 2
-
-
-@dataclass(frozen=True, eq=False)
-class ReducedDensityMatrix:
-    kept_qubits: tuple[int, ...]
-    entries: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -166,11 +150,6 @@ def _cut_grams(signs: np.ndarray, n: int, k: int, orders: np.ndarray):
         yield np.matmul(m, m.transpose(0, 2, 1)).astype(np.float64)
 
 
-def _cut_gram(signs: np.ndarray, n: int, side: Sequence[int]) -> np.ndarray:
-    """The exact Gram of one cut's side, in the side's vertex order."""
-    return next(_cut_grams(signs, n, len(side), np.array([_cut_order(n, side)])))[0]
-
-
 def _cut_alphas(signs: np.ndarray, n: int, k: int, orders: np.ndarray) -> np.ndarray:
     """alpha of each cut in `orders`, by one stacked eigvalsh per batch of
     Grams over each order's first k vertices."""
@@ -204,24 +183,6 @@ def _sweep_plan(n: int) -> _SweepPlan:
         groups.append((k, np.array(positions), orders))
     lex_order = np.array(sorted(range(len(bps)), key=lambda i: bps[i].part_a))
     return _SweepPlan(bps, lex_order, tuple(groups))
-
-
-def schmidt(state: SignState, bp: Bipartition) -> SchmidtSpectrum:
-    """Schmidt coefficients across the cut, descending, via SVD."""
-    if bp.n != state.n:
-        raise ValueError("bipartition and state disagree on qubit count")
-    labels = _cut_labels(state.n, np.array([_cut_order(state.n, bp.part_a)]))
-    m = state.signs().astype(np.float64)[labels].reshape(1 << len(bp.part_a), -1) / math.sqrt(state.dim)
-    sv = np.linalg.svd(m, compute_uv=False)
-    rank = int(np.count_nonzero(sv > SPECTRAL_TOL))
-    return SchmidtSpectrum(bp, tuple(float(s) for s in sv), rank)
-
-
-def reduced_density_matrix(state: SignState, kept_qubits: Sequence[int]) -> ReducedDensityMatrix:
-    kept = tuple(sorted(set(kept_qubits)))
-    if not kept or len(kept) == state.n:
-        raise ValueError("kept set must be a proper nonempty subset")
-    return ReducedDensityMatrix(kept, _cut_gram(state.signs().astype(np.float32), state.n, kept) / state.dim)
 
 
 def alpha_bipartite(state: SignState, bp: Bipartition) -> float:
@@ -292,20 +253,20 @@ def _weight_infinity_norm(n: int, layers: Sequence[int], kept: int) -> Fraction:
     return Fraction(max(sum(math.comb(kept, b) * abs(v) for b, v in enumerate(row)) for row in gram), 1 << n)
 
 
-def procedure_alpha(h: Hypergraph, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT) -> ProcedureReport:
+def procedure_alpha(h: Hypergraph) -> ProcedureReport:
     """Certify alpha for a permutation-invariant state from its edge list.
 
     The single-qubit split's Gram is [[2**(n-1), b], [b, 2**(n-1)]], so its
     alpha (2**(n-1) + |b|) / 2**n is rational. For each deeper cut size k
     the exact infinity norm of the rdm, taken by label weight, must not
     exceed it. Only a failed norm test builds the sign table: the top
-    eigenvalue of that cut's dense Gram then competes for alpha directly.
+    eigenvalue of the Gram of vertices 1..n-k then competes for alpha
+    directly. That Gram is 2**(n-k)-square, so a failed row with n - k above
+    DEFAULT_SWEEP_LIMIT is refused before anything is built.
     """
     n = h.n
     if n < 2:
         raise ValueError("need at least 2 qubits")
-    if n > sweep_limit:
-        raise ValueError(f"qubit count {n} exceeds the sweep cap {sweep_limit}")
     check_qubit_count(n)
     layers = _symmetric_layers(h)
     if layers is None:
@@ -322,9 +283,14 @@ def procedure_alpha(h: Hypergraph, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT) ->
         ok = inf <= smax_exact
         lam = None
         if not ok:
+            if n - k > DEFAULT_SWEEP_LIMIT:
+                raise ValueError(
+                    f"row k = {k} fails its norm test; its fallback Gram would be {1 << (n - k)}-square, "
+                    f"capped at n - k <= {DEFAULT_SWEEP_LIMIT} ({1 << DEFAULT_SWEEP_LIMIT}-square)"
+                )
             success = False
             signs = build_state(h).signs().astype(np.float32) if signs is None else signs
-            lam = float(np.linalg.eigvalsh(_cut_gram(signs, n, range(1, n - k + 1)))[-1]) / dim
+            lam = float(_cut_alphas(signs, n, n - k, np.arange(1, n + 1)[None])[0])
             if lam > alpha:
                 alpha, alpha_exact = lam, None
         rows.append(ProcedureRow(k, inf, ok, lam))
@@ -356,11 +322,6 @@ def closed_form_alpha(family: Family, n: int) -> Fraction | float:
     raise ValueError(f"unknown family {family!r}")
 
 
-def closed_form_E(family: Family, n: int) -> Fraction | float:
-    a = closed_form_alpha(family, n)
-    return 1 - a if isinstance(a, Fraction) else 1.0 - a
-
-
 def lower_bound_check(h: Hypergraph, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT) -> LowerBoundReport:
     """Check E >= 1/2**(k_max - 1) for a connected hypergraph."""
     if h.n < 2:
@@ -374,10 +335,11 @@ def lower_bound_check(h: Hypergraph, *, sweep_limit: int = DEFAULT_SWEEP_LIMIT) 
 
 
 def _predicted_weight_gram(family: Family, n: int, k: int) -> list[list[int]]:
-    """predicted_gram by label weight, c + mult g(a) g(b) + r(a) r(b): g is
-    the sign of the full edge on the m = n - k kept qubits, r that of every
-    (m-1)-subset plus, for odd traced-out parity, the full edge (none for
-    single-max)."""
+    """Predicted 2**n rho over the first n-k qubits by label weight, exact
+    integers. All three families reduce to a rank-three pattern
+    c + mult g(a) g(b) + r(a) r(b): g is the sign of the full edge on the
+    m = n - k kept qubits, r that of every (m-1)-subset plus, for odd
+    traced-out parity, the full edge (none for single-max)."""
     m, least = n - k, 1 if family is Family.SINGLE_MAX_EDGE else 2
     if k < 0 or m < least:
         raise ValueError(f"{family.value} prediction needs k >= 0 and n - k >= {least}")
@@ -390,27 +352,8 @@ def _predicted_weight_gram(family: Family, n: int, k: int) -> list[list[int]]:
     return [[c + mult * g[a] * g[b] + r[a] * r[b] for b in range(m + 1)] for a in range(m + 1)]
 
 
-def predicted_gram(family: Family, n: int, k: int) -> np.ndarray:
-    """Predicted 2**n rho over the first n-k qubits, exact integers.
-
-    All three families reduce to a rank-three pattern: a constant block,
-    a multiple of the single-max-edge outer square, and one residual outer
-    square whose edge family depends on the traced-out parity. Refused
-    before allocating above DEFAULT_SWEEP_LIMIT kept qubits.
-    """
-    check_qubit_count(n)
-    table = np.array(_predicted_weight_gram(family, n, k), dtype=np.int64)
-    if n - k > DEFAULT_SWEEP_LIMIT:
-        raise ValueError(
-            f"predicted Gram would be {1 << (n - k)}-square; capped at n - k <= {DEFAULT_SWEEP_LIMIT} "
-            f"({1 << DEFAULT_SWEEP_LIMIT}-square)"
-        )
-    weights = np.bitwise_count(np.arange(1 << (n - k)))
-    return table[weights[:, None], weights]
-
-
 def reduced_structure_check(family: Family, n: int, k: int) -> StructureReport:
-    """Compare the exact reduced Gram with predicted_gram, both by label weight."""
+    """Compare the exact reduced Gram with its predicted form, both by label weight."""
     if k < 1 or n - k < 2:
         raise ValueError("need k >= 1 and at least 2 kept qubits")
     check_qubit_count(n)

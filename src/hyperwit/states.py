@@ -69,7 +69,7 @@ def _bit_pattern(n: int, pos: int) -> int:
     return pattern & _full_mask(n) if n < 3 else pattern
 
 
-@lru_cache(maxsize=4096)
+@lru_cache(maxsize=64)
 def superset_mask(n: int, vertices: tuple[int, ...]) -> int:
     """Packed indicator of {x : every vertex bit is set in x}."""
     if not vertices:

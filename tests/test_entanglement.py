@@ -22,20 +22,23 @@ from hyperwit import (
     build_family,
     build_state,
     canonicalize,
-    closed_form_E,
     closed_form_alpha,
     enumerate_bipartitions,
     is_permutation_invariant,
     lower_bound_check,
-    predicted_gram,
     procedure_alpha,
-    reduced_density_matrix,
     reduced_structure_check,
-    schmidt,
 )
 from hyperwit import entanglement
 from hyperwit.cli import main
-from hyperwit.entanglement import _symmetric_layers, _weight_gram, _weight_infinity_norm
+from hyperwit.entanglement import (
+    _cut_grams,
+    _cut_order,
+    _predicted_weight_gram,
+    _symmetric_layers,
+    _weight_gram,
+    _weight_infinity_norm,
+)
 
 GOLDEN_RATIO_ALPHA = (3 + math.sqrt(5)) / 8
 
@@ -58,27 +61,13 @@ def test_brute_alpha_matches_dense_oracle(h):
 
 
 @given(hypergraphs(max_n=6), st.integers(0, 30))
-def test_schmidt_normalized_and_sorted(h, pick):
-    from hyperwit import enumerate_bipartitions
-
-    bps = enumerate_bipartitions(h.n)
-    bp = bps[pick % len(bps)]
-    spec = schmidt(build_state(h), bp)
-    sq = [c * c for c in spec.coefficients]
-    assert abs(sum(sq) - 1.0) <= 1e-9
-    assert all(a >= b - 1e-12 for a, b in zip(sq, sq[1:]))
-    assert spec.rank == sum(1 for c in spec.coefficients if c > 1e-12)
-    assert abs(spec.alpha - sq[0]) <= 1e-12
-
-
-@given(hypergraphs(max_n=6), st.integers(0, 30))
 def test_svd_and_gram_paths_agree(h, pick):
     from hyperwit import enumerate_bipartitions
 
     bps = enumerate_bipartitions(h.n)
     bp = bps[pick % len(bps)]
     s = build_state(h)
-    assert abs(schmidt(s, bp).alpha - alpha_bipartite(s, bp)) <= 1e-9
+    assert abs(oracles.dense_alpha_cut(s.amplitudes(), h.n, bp.part_a) - alpha_bipartite(s, bp)) <= 1e-9
 
 
 @given(hypergraphs(min_n=2, max_n=5), st.permutations([1, 2, 3, 4, 5]))
@@ -92,8 +81,9 @@ def test_entanglement_invariant_under_permutation(h, perm):
 def test_reduced_density_matrix_matches_oracle():
     h = canonicalize([[1, 2, 3], [2, 4]], 4)
     s = build_state(h)
+    signs = s.signs().astype(np.float32)
     for kept in ([1], [1, 3], [2, 4], [1, 2, 4]):
-        got = reduced_density_matrix(s, kept).entries
+        got = next(_cut_grams(signs, h.n, len(kept), np.array([_cut_order(h.n, kept)])))[0] / 2**h.n
         ref = oracles.reduced_density(s.amplitudes(), h.n, kept)
         assert np.allclose(got, ref, atol=1e-12)
         assert abs(np.trace(got) - 1.0) <= 1e-12
@@ -284,13 +274,50 @@ def test_procedure_at_n16_stays_small():
     for fam in Family:
         tracemalloc.start()
         try:
-            rep = procedure_alpha(build_family(fam, 16), sweep_limit=16)
+            rep = procedure_alpha(build_family(fam, 16))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         assert rep.success
         assert abs(rep.alpha - float(closed_form_alpha(fam, 16))) <= 1e-12
         assert peak < 64 << 20, (fam, peak)
+
+
+def test_procedure_refuses_a_fallback_gram_above_the_cap(monkeypatch):
+    # the cap is the sweep's: a failing row's Gram side n - k at the cap is
+    # built, one above it refused before the sign table is built
+    monkeypatch.setattr(entanglement, "DEFAULT_SWEEP_LIMIT", 3)
+    rep = procedure_alpha(build_family(Family.ALL_N_MINUS_1, 4))  # fails at k = 2, side 2
+    assert rep.rows[0].lambda_max is not None
+    monkeypatch.setattr(entanglement, "build_state", None)
+    union = dict(_layer_unions(6))[(2, 3)]  # fails at k = 2, side 4
+    message = r"^row k = 2 fails its norm test; its fallback Gram would be 16-square, capped at n - k <= 3 \(8-square\)$"
+    with pytest.raises(ValueError, match=message):
+        procedure_alpha(union)
+
+
+def test_cli_procedure_refuses_the_n15_union_before_allocating(capsys):
+    # the norm row k = 2 fails, and its fallback would be an 8192-square Gram
+    edges = [list(e) for e in combinations(range(1, 16), 3)] + [list(range(1, 16))]
+    argv = ["entanglement", "--mode", "procedure", "--edges", json.dumps(edges), "--n", "15"]
+    tracemalloc.start()
+    try:
+        code = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    out, err = capsys.readouterr()
+    assert (code, out) == (2, "")
+    assert "fallback Gram would be 8192-square" in err
+    assert peak < 1 << 20, peak
+
+
+def test_cli_procedure_at_n24_needs_no_sweep_cap(capsys):
+    for fam in Family:
+        assert main(["entanglement", "--mode", "procedure", "--family", fam.value, "--n", "24"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["procedure"]["success"] is True, fam
+        assert doc["alpha"] == float(closed_form_alpha(fam, 24)), fam
 
 
 def test_closed_form_values():
@@ -305,17 +332,6 @@ def test_closed_form_values():
     assert closed_form_alpha(Family.ALL_GE_N_MINUS_1, 4) == Fraction(5, 8)
     assert closed_form_alpha(Family.ALL_GE_N_MINUS_1, 5) == Fraction(11, 16)
     assert closed_form_alpha(Family.ALL_GE_N_MINUS_1, 6) == Fraction(27, 32)
-
-
-def test_closed_form_E_complements_alpha():
-    for fam in Family:
-        for n in range(3, 8):
-            a = closed_form_alpha(fam, n)
-            e = closed_form_E(fam, n)
-            if isinstance(a, Fraction):
-                assert a + e == 1
-            else:
-                assert abs(a + e - 1.0) <= 1e-15
 
 
 def test_closed_form_range_checks():
@@ -372,7 +388,7 @@ def test_reduced_structure_matches_the_dense_gram():
                 m = signs.reshape(1 << (n - k), -1)
                 gram = m @ m.T
                 rep = reduced_structure_check(fam, n, k)
-                assert rep.deviation == int(np.abs(gram - predicted_gram(fam, n, k)).max()), (fam, n, k)
+                assert rep.deviation == int(np.abs(gram - _residual_table_prediction(fam, n, k)).max()), (fam, n, k)
                 assert rep.values == tuple(np.unique(gram).tolist()), (fam, n, k)
                 assert rep.infinity_norm == Fraction(int(np.abs(gram).sum(axis=1).max()), 1 << n), (fam, n, k)
 
@@ -400,30 +416,12 @@ def test_predicted_gram_equals_the_residual_sign_tables():
             for k in range(-1, n + 2):
                 if k < 0 or n - k < least:
                     with pytest.raises(ValueError, match=f"needs k >= 0 and n - k >= {least}"):
-                        predicted_gram(fam, n, k)
+                        _predicted_weight_gram(fam, n, k)
                     continue
-                got = predicted_gram(fam, n, k)
-                assert got.dtype == np.int64, (fam, n, k)
+                # spread the weight table over the labels of the n - k kept qubits
+                weights = np.bitwise_count(np.arange(1 << (n - k)))
+                got = np.array(_predicted_weight_gram(fam, n, k))[weights[:, None], weights]
                 assert np.array_equal(got, _residual_table_prediction(fam, n, k)), (fam, n, k)
-
-
-def test_predicted_gram_refuses_oversized_requests_before_allocating(monkeypatch):
-    # (all-n-1, 18, 1) would be a 2**17-square int64 matrix, 128 GiB
-    tracemalloc.start()
-    try:
-        with pytest.raises(ValueError, match=r"^predicted Gram would be 131072-square; capped at n - k <= 12 "):
-            predicted_gram(Family.ALL_N_MINUS_1, 18, 1)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 1 << 20, peak
-    with pytest.raises(ValueError, match=r"qubit count must lie in 1\.\.24"):
-        predicted_gram(Family.SINGLE_MAX_EDGE, 25, 20)
-    # the cap is the sweep's: n - k at the cap is built, one above it refused
-    monkeypatch.setattr(entanglement, "DEFAULT_SWEEP_LIMIT", 3)
-    assert predicted_gram(Family.ALL_N_MINUS_1, 5, 2).shape == (8, 8)
-    with pytest.raises(ValueError, match=r"^predicted Gram would be 16-square; capped at n - k <= 3 \(8-square\)$"):
-        predicted_gram(Family.ALL_N_MINUS_1, 5, 1)
 
 
 def test_reduced_structure_at_n24_builds_no_table():

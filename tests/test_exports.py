@@ -1,9 +1,13 @@
 import hyperwit
 
 REMOVED = (
+    "ReducedDensityMatrix",
+    "SchmidtSpectrum",
+    "_cut_gram",
     "bipartition_after_measurement",
     "biseparable_audit",
     "canonical_settings",
+    "closed_form_E",
     "dense_expectation",
     "detect_family",
     "exact_min_settings",
@@ -12,8 +16,11 @@ REMOVED = (
     "infinity_norm",
     "permute_vertices",
     "plus_state",
+    "predicted_gram",
     "product_setting_count",
     "projector_strings",
+    "reduced_density_matrix",
+    "schmidt",
     "stabilizer_strings",
     "witness_setting_count",
 )

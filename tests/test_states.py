@@ -218,6 +218,24 @@ def test_verify_stabilizers_keeps_no_residual_masks(capsys):
     assert peak < 6 << 20, peak
 
 
+def test_superset_mask_cache_stays_bounded_across_instances():
+    # n = 22 masks are 512 KiB each: the 64 cached take 32 MiB, while one per
+    # edge of these six instances (about 180) would take about 90 MiB
+    instances = [random_connected_hypergraph(22, random.Random(f"mask-cache:22:{i}")) for i in range(6)]
+    build_state(Hypergraph(22, (tuple(range(1, 23)),)))  # the per-bit patterns, outside the trace
+    states.superset_mask.cache_clear()
+    tracemalloc.start()
+    try:
+        for h in instances:
+            build_state(h)
+        kept = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+        for cache in (states._full_mask, states._bit_pattern, states.superset_mask):
+            cache.cache_clear()
+    assert kept < 40 << 20, kept
+
+
 @given(hypergraphs(max_n=8))
 def test_link_masks_give_commuting_involutions(h):
     # m_v free of x_v makes K_v an involution; the symmetric XOR makes K_u, K_v commute
